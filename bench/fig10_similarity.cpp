@@ -8,7 +8,7 @@
 /// (b) Total messages to discover k similar items: linear in k with slope
 ///     (1/c) * O(log N).
 ///
-/// Both parts run as similarity-search batches through the BatchEngine; a
+/// Both parts run as similarity-search batches through the EpochEngine; a
 /// final section times a search batch at 1/2/4/8 workers and merges the
 /// throughput into BENCH_batch.json.
 ///
@@ -48,7 +48,7 @@ int main(int argc, char** argv) {
   // corpus load and not the timing sweep below.
   obs::TraceLog trace_log;
   bench::maybe_attach_tracer(sys, trace_log, flags);
-  core::BatchEngine engine(sys, {.seed = flags.seed});
+  core::EpochEngine engine(sys, {.seed = flags.seed});
 
   // The n-th popular keyword among those matching fewer items than nodes.
   const auto candidates = bench::popular_keywords(wl.trace, 8, nodes);
@@ -178,7 +178,7 @@ int main(int argc, char** argv) {
     const std::size_t workers[] = {1, 2, 4, 8};
     const std::vector<bench::BatchTiming> timings = bench::time_batches(
         sys, workers, sweep_ops.size(), flags.seed,
-        [&](core::BatchEngine& e) { (void)e.similarity_search(sweep_ops); });
+        [&](core::EpochEngine& e) { (void)e.similarity_search(sweep_ops); });
     bench::emit(bench::batch_table(timings), flags.csv);
     bench::append_batch_json(cli.get("batch-json"), "fig10_search_batch",
                              timings);

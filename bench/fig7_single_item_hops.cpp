@@ -3,7 +3,7 @@
 /// the three variants None / Unused Hash Space / + Hot Regions. All three
 /// must track O(log N).
 ///
-/// The query sweep runs as locate batches through the BatchEngine; a final
+/// The query sweep runs as locate batches through the EpochEngine; a final
 /// section times the same batch at 1/2/4/8 workers and merges the
 /// throughput into BENCH_batch.json.
 
@@ -89,7 +89,7 @@ int main(int argc, char** argv) {
       // Tracing covers the measured locate batch, not the corpus load.
       obs::TraceLog trace_log;
       bench::maybe_attach_tracer(sys, trace_log, flags);
-      core::BatchEngine engine(sys, {.seed = flags.seed ^ n});
+      core::EpochEngine engine(sys, {.seed = flags.seed ^ n});
       (void)engine.locate(ops);
       // The printed mean comes from the exported metrics themselves: the
       // op.route_hops/op.walk_hops histograms for op=locate. Hop counts
@@ -125,7 +125,7 @@ int main(int argc, char** argv) {
     const std::size_t workers[] = {1, 2, 4, 8};
     const std::vector<bench::BatchTiming> timings = bench::time_batches(
         sys, workers, ops.size(), flags.seed,
-        [&](core::BatchEngine& engine) { (void)engine.locate(ops); });
+        [&](core::EpochEngine& engine) { (void)engine.locate(ops); });
     bench::emit(bench::batch_table(timings), flags.csv);
     bench::append_batch_json(cli.get("batch-json"), "fig7_locate_batch",
                              timings);

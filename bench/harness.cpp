@@ -200,10 +200,10 @@ std::vector<vsm::KeywordId> popular_keywords(const workload::Trace& trace,
 std::vector<BatchTiming> time_batches(
     core::Meteorograph& sys, std::span<const std::size_t> worker_counts,
     std::size_t ops, std::uint64_t seed,
-    const std::function<void(core::BatchEngine&)>& run) {
+    const std::function<void(core::EpochEngine&)>& run) {
   std::vector<BatchTiming> timings;
   for (const std::size_t workers : worker_counts) {
-    core::BatchEngine engine(sys, {.workers = workers, .seed = seed});
+    core::EpochEngine engine(sys, {.workers = workers, .seed = seed});
     const auto start = std::chrono::steady_clock::now();
     run(engine);
     const std::chrono::duration<double> elapsed =

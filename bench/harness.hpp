@@ -17,7 +17,7 @@
 
 #include "common/cli.hpp"
 #include "common/table.hpp"
-#include "meteorograph/batch.hpp"
+#include "meteorograph/epoch.hpp"
 #include "meteorograph/meteorograph.hpp"
 #include "obs/export.hpp"
 #include "obs/trace.hpp"
@@ -117,14 +117,14 @@ struct BatchTiming {
 };
 
 /// Times `run` once per entry of `worker_counts`, each with a fresh
-/// BatchEngine over `sys` seeded identically — so every measurement
+/// EpochEngine over `sys` seeded identically — so every measurement
 /// executes the exact same deterministic batch. `run` must be read-only
 /// (locate/retrieve/search batches): the system is shared across rounds.
 /// `ops` is the batch size, used for the ops/s column.
 [[nodiscard]] std::vector<BatchTiming> time_batches(
     core::Meteorograph& sys, std::span<const std::size_t> worker_counts,
     std::size_t ops, std::uint64_t seed,
-    const std::function<void(core::BatchEngine&)>& run);
+    const std::function<void(core::EpochEngine&)>& run);
 
 /// Renders timings as a table (workers / seconds / ops/s / speedup).
 [[nodiscard]] TextTable batch_table(const std::vector<BatchTiming>& timings);

@@ -10,7 +10,7 @@
 
 #include "common/rng.hpp"
 #include "common/zipf.hpp"
-#include "meteorograph/batch.hpp"
+#include "meteorograph/epoch.hpp"
 #include "meteorograph/naming.hpp"
 #include "overlay/overlay.hpp"
 #include "vsm/absolute_angle.hpp"
@@ -412,7 +412,7 @@ BatchFixture& batch_fixture() {
 
 void BM_BatchLocate(benchmark::State& state) {
   BatchFixture& fx = batch_fixture();
-  core::BatchEngine engine(
+  core::EpochEngine engine(
       fx.sys, {.workers = static_cast<std::size_t>(state.range(0)), .seed = 9});
   for (auto _ : state) {
     benchmark::DoNotOptimize(engine.locate(fx.locate_ops));
@@ -424,7 +424,7 @@ BENCHMARK(BM_BatchLocate)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
 
 void BM_BatchRetrieve(benchmark::State& state) {
   BatchFixture& fx = batch_fixture();
-  core::BatchEngine engine(
+  core::EpochEngine engine(
       fx.sys, {.workers = static_cast<std::size_t>(state.range(0)), .seed = 9});
   for (auto _ : state) {
     benchmark::DoNotOptimize(engine.retrieve(fx.retrieve_ops));

@@ -7,6 +7,7 @@
 
 #include "common/assert.hpp"
 #include "obs/names.hpp"
+#include "obs/profile.hpp"
 #include "overlay/fault_hook.hpp"
 
 namespace meteo::core {
@@ -15,14 +16,10 @@ namespace {
 
 /// Closes the per-operation fate scope even when the op throws, so a
 /// worker thread never leaks an active scope into the next op it runs.
-/// (Mirror of batch.cpp's guard; both engines share the fate-scope
-/// discipline, neither exports it.)
 class ScopeGuard {
  public:
-  ScopeGuard(overlay::FaultHook* hook, std::uint64_t salt,
-             std::uint64_t first_message = 0)
-      : hook_(hook) {
-    if (hook_ != nullptr) hook_->begin_op_scope(salt, first_message);
+  ScopeGuard(overlay::FaultHook* hook, std::uint64_t salt) : hook_(hook) {
+    if (hook_ != nullptr) hook_->begin_op_scope(salt);
   }
   ~ScopeGuard() {
     if (hook_ != nullptr) hook_->end_op_scope();
@@ -52,7 +49,9 @@ EpochEngine::EpochEngine(Meteorograph& system, EpochOptions options)
   if (options_.workers > 1) pool_.emplace(options_.workers);
 }
 
-EpochEngine::~EpochEngine() { disarm_stores(); }
+EpochEngine::~EpochEngine() {
+  if (armed_) disarm_stores();
+}
 
 std::size_t EpochEngine::push(AnyOp op) {
   pending_.push_back(Pending{std::move(op), next_global_++});
@@ -68,6 +67,7 @@ std::size_t EpochEngine::submit(const WithdrawOp& op) { return push(op); }
 std::size_t EpochEngine::submit(const DepartOp& op) { return push(op); }
 
 void EpochEngine::arm_stores(vsm::Epoch write) {
+  armed_ = true;
   for (Meteorograph::NodeData& data : system_.node_data_) {
     data.items.retain_versions(true);
     data.items.set_write_epoch(write);
@@ -101,54 +101,58 @@ void EpochEngine::disarm_stores() {
   system_.span_epoch_ = 0;
 }
 
-EpochEngine::SealedEpoch EpochEngine::seal() {
-  const vsm::Epoch pinned = epoch_;
-  const vsm::Epoch commit = epoch_ + 1;
-
+EpochEngine::SealedEpoch EpochEngine::run_window(
+    std::span<const Pending> window, std::optional<vsm::Epoch> pinned) {
   // Batch bracket: due crashes apply once, up front, and the membership
-  // snapshot freezes for the whole read side of the epoch. (Departures
+  // snapshot freezes for the whole read side of the window. (Departures
   // still change membership below — after the depart fence, when no
   // pinned reader remains in flight.)
   system_.begin_batch();
-  SealGuard guard(system_);
-  arm_stores(commit);
+  WindowGuard guard(system_);
+  // Armed inside the bracket: begin_batch() syncs node data, so nodes
+  // that joined since the last window are armed too.
+  if (pinned.has_value()) arm_stores(*pinned + 1);
+  const ReadView view = pinned.has_value() ? ReadView{*pinned} : ReadView{};
+  const vsm::Epoch read_stamp = pinned.value_or(0);
+  const vsm::Epoch write_stamp = pinned.has_value() ? *pinned + 1 : 0;
 
   overlay::FaultHook* hook = system_.network().fault_hook();
   const bool scoped = hook != nullptr && hook->supports_op_scopes();
   // A hook without per-op fate scopes decides fates off one shared,
-  // order-dependent stream: serialize the read phases.
+  // order-dependent stream: serialize the read phases. Scopes are used
+  // even at one worker so the fate streams — and with them results and
+  // metrics — match any other worker count exactly.
   std::size_t workers = options_.workers;
   if (hook != nullptr && !scoped) workers = 1;
 
-  const std::size_t n = pending_.size();
+  const std::size_t n = window.size();
   SealedEpoch sealed;
-  sealed.epoch = pinned;
+  sealed.epoch = read_stamp;
   sealed.results.resize(n);
   sealed.timeout_costs.assign(n, 0.0);
   std::vector<Meteorograph::OpTrace> traces(n);
 
   // Partition the window. Reads split into the pre-write phase and the
-  // deferred (post-write) phase; writes keep strict submission order.
+  // deferred (post-write) phase; writes keep strict window order.
   std::vector<std::size_t> early_reads;
   std::vector<std::size_t> deferred_reads;
   std::vector<std::size_t> writes;
+  const bool may_defer = pinned.has_value() && options_.defer_read != nullptr;
   for (std::size_t i = 0; i < n; ++i) {
-    if (pending_[i].op.index() < kFirstWriteAlternative) {
-      const bool defer = options_.defer_read != nullptr &&
-                         options_.defer_read(pending_[i].global_index);
+    if (window[i].op.index() < kFirstWriteAlternative) {
+      const bool defer = may_defer && options_.defer_read(window[i].key);
       (defer ? deferred_reads : early_reads).push_back(i);
     } else {
       writes.push_back(i);
     }
   }
 
-  // One read op, pinned at epoch E. Runs on any worker: the op writes
-  // only its own results/traces slot and draws from its own substreams.
-  const ReadView view{pinned};
+  // One read op. Runs on any worker: the op writes only its own
+  // results/traces slot and draws from its own substreams.
   auto exec_read = [&](std::size_t i) {
-    Pending& p = pending_[i];
-    Rng rng = substream(p.global_index);
-    ScopeGuard scope(scoped ? hook : nullptr, scope_salt(p.global_index));
+    const Pending& p = window[i];
+    Rng rng = substream(p.key);
+    ScopeGuard scope(scoped ? hook : nullptr, scope_salt(p.key));
     if (const auto* ret = std::get_if<RetrieveOp>(&p.op)) {
       METEO_EXPECTS(ret->query != nullptr);
       sealed.results[i] = system_.retrieve_op(*ret->query, ret->amount,
@@ -172,6 +176,7 @@ EpochEngine::SealedEpoch EpochEngine::seal() {
     }
   };
   auto run_reads = [&](const std::vector<std::size_t>& batch) {
+    METEO_ZONE("window.read");
     if (workers > 1 && pool_.has_value() && batch.size() > 1) {
       pool_->parallel_for(0, batch.size(),
                           [&](std::size_t k) { exec_read(batch[k]); });
@@ -184,13 +189,15 @@ EpochEngine::SealedEpoch EpochEngine::seal() {
   // epoch E here, so the pinned view takes the zero-overhead fast path.
   run_reads(early_reads);
 
-  // Phase W — mutations, strictly sequential in submission order, each
-  // committing into epoch E+1 under its own RNG/fate substream. Spans
-  // these commits finish carry the commit epoch.
-  system_.span_epoch_ = commit;
+  // Phase W — mutations, strictly sequential in window order, each
+  // committing under its own RNG/fate substream (into epoch E+1 when
+  // pinned). Spans these commits finish carry the write stamp. A
+  // publish plans inline, inside its own fate scope.
+  system_.span_epoch_ = write_stamp;
   bool deferred_done = deferred_reads.empty();
   for (const std::size_t i : writes) {
-    Pending& p = pending_[i];
+    METEO_ZONE("window.write");
+    const Pending& p = window[i];
     // Depart fence: a departure rebuilds the leaver's state from the
     // live view only (its pre-depart versions vanish), so every pinned
     // reader must drain before the first depart commits.
@@ -198,8 +205,8 @@ EpochEngine::SealedEpoch EpochEngine::seal() {
       run_reads(deferred_reads);
       deferred_done = true;
     }
-    Rng rng = substream(p.global_index);
-    ScopeGuard scope(scoped ? hook : nullptr, scope_salt(p.global_index));
+    Rng rng = substream(p.key);
+    ScopeGuard scope(scoped ? hook : nullptr, scope_salt(p.key));
     if (const auto* pub = std::get_if<PublishOp>(&p.op)) {
       METEO_EXPECTS(pub->vector != nullptr);
       Meteorograph::PublishPlan plan =
@@ -222,13 +229,14 @@ EpochEngine::SealedEpoch EpochEngine::seal() {
   if (!deferred_done) run_reads(deferred_reads);
   system_.span_epoch_ = 0;
 
-  // Fold — writes already folded inline at their commits (submission
-  // order); now the reads fold in submission order. Histogram
-  // accumulation is float-order-sensitive and spans append to the trace
-  // log here, so this order must not depend on workers or deferral.
+  // Fold — writes already folded inline at their commits (window order);
+  // now the reads fold in window order. Histogram accumulation is
+  // float-order-sensitive and spans append to the trace log here, so
+  // this order must not depend on workers or deferral.
+  METEO_ZONE("window.fold");
   for (std::size_t i = 0; i < n; ++i) {
-    if (pending_[i].op.index() >= kFirstWriteAlternative) continue;
-    traces[i].span.set_epoch(pinned);
+    if (window[i].op.index() >= kFirstWriteAlternative) continue;
+    traces[i].span.set_epoch(read_stamp);
     std::visit(
         [&](auto& result) {
           using R = std::decay_t<decltype(result)>;
@@ -246,6 +254,55 @@ EpochEngine::SealedEpoch EpochEngine::seal() {
     sealed.timeout_costs[i] =
         traces[i].route.timeout_cost + traces[i].walk.timeout_cost;
   }
+  return sealed;
+}
+
+template <typename Result, typename Op>
+std::vector<Result> EpochEngine::run_call(std::span<const Op> ops) {
+  // Submitted ops would otherwise be overtaken by the call's own ops.
+  METEO_EXPECTS(pending_.empty());
+  std::vector<Pending> window;
+  window.reserve(ops.size());
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    window.push_back(Pending{ops[i], i});
+  }
+  SealedEpoch done = run_window(window, std::nullopt);
+  std::vector<Result> results;
+  results.reserve(done.results.size());
+  for (OpResult& r : done.results) {
+    results.push_back(std::get<Result>(std::move(r)));
+  }
+  return results;
+}
+
+std::vector<RetrieveResult> EpochEngine::retrieve(
+    std::span<const RetrieveOp> ops) {
+  return run_call<RetrieveResult>(ops);
+}
+
+std::vector<LocateResult> EpochEngine::locate(std::span<const LocateOp> ops) {
+  return run_call<LocateResult>(ops);
+}
+
+std::vector<SearchResult> EpochEngine::similarity_search(
+    std::span<const SearchOp> ops) {
+  return run_call<SearchResult>(ops);
+}
+
+std::vector<PublishResult> EpochEngine::publish(
+    std::span<const PublishOp> ops) {
+  return run_call<PublishResult>(ops);
+}
+
+std::vector<WithdrawResult> EpochEngine::withdraw(
+    std::span<const WithdrawOp> ops) {
+  return run_call<WithdrawResult>(ops);
+}
+
+EpochEngine::SealedEpoch EpochEngine::seal() {
+  const vsm::Epoch pinned = epoch_;
+  const vsm::Epoch commit = epoch_ + 1;
+  SealedEpoch sealed = run_window(pending_, pinned);
 
   // Epoch boundary: retire the superseded versions, advance the counter,
   // publish the epoch metrics (docs/OBSERVABILITY.md).

@@ -1,33 +1,42 @@
 #pragma once
 
 /// \file epoch.hpp
-/// Epoch-based MVCC snapshot execution over a Meteorograph system
-/// (DESIGN.md §11).
+/// The execution engine over a Meteorograph system (DESIGN.md §11).
 ///
-/// An EpochEngine accepts a mixed stream of operations through submit_*()
-/// and executes the accumulated window on seal(). Within one epoch E:
+/// An EpochEngine runs operations in windows, and every window executes
+/// the same way: read operations (retrieve, locate, similarity_search,
+/// range_search) run in parallel across a thread pool; mutating
+/// operations (publish, withdraw, depart) commit strictly sequentially
+/// in window order; then metrics and traces fold in one canonical order
+/// — writes in window order (inline with their commits), then reads in
+/// window order. Every operation draws from its own splitmix64 RNG
+/// substream and, when the attached fault hook supports per-operation
+/// fate scopes, its own message-fault substream, so results, system
+/// state, trace dumps and metric exports are bit-identical at any worker
+/// count. The sequential-replay oracle is simply `workers = 1`.
 ///
-///   * read operations (retrieve, locate, similarity_search,
-///     range_search) execute against the *pinned* epoch-E view, in
-///     parallel across a thread pool;
-///   * mutating operations (publish, withdraw, depart) commit strictly
-///     sequentially, in submission order, into epoch E+1 — every store
-///     mutation is stamped E+1 and the displaced version is retained so
-///     pinned readers still see it;
-///   * reads may be deferred past the write phase (the `defer_read`
-///     hook): they then execute after the commits yet still observe
-///     exactly epoch E, byte-identically to running before them.
+/// A window comes in through one of two entry points:
 ///
-/// seal() folds metrics and traces in one canonical order — writes in
-/// submission order (inline with their commits), then reads in
-/// submission order — so results, trace dumps, and metric exports are
-/// bit-identical at any worker count, with or without deferral. The
-/// sequential-replay oracle is simply `workers = 1`.
+///   * submit() then seal() — a mixed window run as one epoch E. Reads
+///     execute against the *pinned* epoch-E view; writes commit into
+///     epoch E+1 — every store mutation is stamped E+1 and the displaced
+///     version is retained so pinned readers still see it. Reads may be
+///     deferred past the write phase (the `defer_read` hook): they then
+///     execute after the commits yet still observe exactly epoch E,
+///     byte-identically to running before them. Substreams are keyed by
+///     the op's global submission index.
+///   * the typed calls (locate, retrieve, similarity_search, publish,
+///     withdraw) — one homogeneous window run at once against the live
+///     stores. Substreams are keyed by the op's index in the call; no
+///     version is retained, the epoch does not advance, and spans carry
+///     epoch 0.
 ///
-/// Like BatchEngine, op structs borrow their vectors; the caller keeps
-/// the workload alive until the seal() that executes it returns.
+/// Op structs borrow their vectors (non-owning pointers/spans): the
+/// caller keeps the workload alive until the call or the seal() that
+/// executes it returns.
 ///
 ///   EpochEngine engine(sys, {.workers = 8, .seed = 42});
+///   std::vector<LocateResult> found = engine.locate(locate_ops);
 ///   engine.submit(RetrieveOp{...});
 ///   engine.submit(PublishOp{...});
 ///   auto sealed = engine.seal();   // one epoch boundary
@@ -36,33 +45,71 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <span>
 #include <variant>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
-#include "meteorograph/batch.hpp"
 #include "meteorograph/meteorograph.hpp"
 
 namespace meteo::core {
 
+struct RetrieveOp {
+  const vsm::SparseVector* query = nullptr;
+  std::size_t amount = 1;
+  RetrieveOptions options;
+};
+
+struct LocateOp {
+  vsm::ItemId item = 0;
+  const vsm::SparseVector* vector = nullptr;
+  LocateOptions options;
+};
+
+struct SearchOp {
+  // meteo-lint: borrow_ok(op structs borrow from the caller-owned workload, which outlives the engine call by contract)
+  std::span<const vsm::KeywordId> keywords;
+  std::size_t k = 0;  ///< 0 = discover all matching items
+  SearchOptions options;
+};
+
+struct RangeSearchOp {
+  AttributeId attribute = 0;
+  double lo = 0.0;
+  double hi = 0.0;
+  RangeSearchOptions options;
+};
+
+struct PublishOp {
+  vsm::ItemId id = 0;
+  const vsm::SparseVector* vector = nullptr;
+  PublishOptions options;
+};
+
+struct WithdrawOp {
+  vsm::ItemId item = 0;
+  const vsm::SparseVector* vector = nullptr;
+  WithdrawOptions options;
+};
+
 /// Graceful departure of `node`, as a submittable op (the epoch window
-/// mixes departures between publishes and reads; BatchEngine's depart()
-/// takes a bare node span instead).
+/// mixes departures between publishes and reads).
 struct DepartOp {
   overlay::NodeId node = overlay::kInvalidNode;
 };
 
 struct EpochOptions {
-  /// Worker threads for the read phases; 0 = hardware_concurrency().
+  /// Worker threads for the read phases; 0 = hardware_concurrency(). The
+  /// engine uses one when the attached fault hook has no op scopes.
   std::size_t workers = 0;
-  /// Root of every per-operation RNG/fault substream (global op index
-  /// keyed: an op keeps its streams no matter how epochs are cut).
+  /// Root of every per-operation RNG/fault substream. Two engines with
+  /// the same seed over identical systems produce identical windows.
   std::uint64_t seed = 0x6d657465'6f726f67ULL;
   /// Interleaving seam: return true to defer the read with this global
   /// op index past the epoch's write phase (it still observes epoch E).
-  /// Null defers nothing. Mutating ops ignore it.
-  std::function<bool(std::size_t)> defer_read;
+  /// Null defers nothing. Mutating ops and typed calls ignore it.
+  std::function<bool(std::size_t)> defer_read = nullptr;
 };
 
 class EpochEngine {
@@ -83,19 +130,28 @@ class EpochEngine {
     std::vector<double> timeout_costs;
   };
 
-  /// Binds to `system` for the engine's lifetime (non-owning); each
-  /// seal() arms version retention on every node store for its window.
-  /// The LSI ranking mode mutates a per-node projection cache under
-  /// reads, so it cannot serve pinned snapshots.
+  /// Binds to `system` for the engine's lifetime (non-owning). The pool
+  /// is created once here, not per window. The LSI ranking mode mutates
+  /// a per-node projection cache under reads, so it cannot serve pinned
+  /// snapshots or parallel readers.
   /// \pre config.local_ranking != kLsi
   explicit EpochEngine(Meteorograph& system, EpochOptions options = {});
 
-  /// Disarms version retention and drops retained versions, returning
-  /// the system to plain facade behavior.
+  /// Once a seal() has armed version retention, disarms it and drops
+  /// retained versions, returning the system to plain facade behavior.
+  /// An engine that never sealed leaves the stores untouched.
   ~EpochEngine();
 
   EpochEngine(const EpochEngine&) = delete;
   EpochEngine& operator=(const EpochEngine&) = delete;
+
+  // Typed calls: each runs `ops` now as one window and returns results
+  // in op order. \pre pending() == 0
+  std::vector<RetrieveResult> retrieve(std::span<const RetrieveOp> ops);
+  std::vector<LocateResult> locate(std::span<const LocateOp> ops);
+  std::vector<SearchResult> similarity_search(std::span<const SearchOp> ops);
+  std::vector<PublishResult> publish(std::span<const PublishOp> ops);
+  std::vector<WithdrawResult> withdraw(std::span<const WithdrawOp> ops);
 
   // Submission window. Each call returns the op's index within the
   // current window (= its index into SealedEpoch::results).
@@ -130,33 +186,49 @@ class EpochEngine {
 
   struct Pending {
     AnyOp op;
-    std::uint64_t global_index = 0;  ///< substream key, monotone over epochs
+    /// Substream key: the global submission index under seal(), monotone
+    /// over epochs; the index within the call for a typed call.
+    std::uint64_t key = 0;
   };
 
   /// Ends the batch bracket and clears the write-span epoch stamp on
-  /// every exit path. Nested so Meteorograph's friendship covers the
-  /// private end_batch() call (same trick as BatchEngine::BatchGuard).
-  struct SealGuard {
-    explicit SealGuard(Meteorograph& sys) : system(sys) {}
-    ~SealGuard() {
+  /// every exit path, including exceptions rethrown from pool workers.
+  /// Nested so Meteorograph's friendship covers the private end_batch().
+  struct WindowGuard {
+    explicit WindowGuard(Meteorograph& sys) : system(sys) {}
+    ~WindowGuard() {
       system.span_epoch_ = 0;
       system.end_batch();
     }
-    SealGuard(const SealGuard&) = delete;
-    SealGuard& operator=(const SealGuard&) = delete;
+    WindowGuard(const WindowGuard&) = delete;
+    WindowGuard& operator=(const WindowGuard&) = delete;
     Meteorograph& system;
   };
 
-  /// Same substream discipline as BatchEngine, keyed by the op's global
-  /// index so streams never depend on where epoch boundaries fall.
-  [[nodiscard]] Rng substream(std::uint64_t g) const noexcept {
-    return Rng(splitmix64(options_.seed + 0x9e3779b97f4a7c15ULL * (g + 1)));
+  /// Independent RNG stream for the op keyed `key`: identical regardless
+  /// of which worker runs the op or in what order.
+  [[nodiscard]] Rng substream(std::uint64_t key) const noexcept {
+    return Rng(splitmix64(options_.seed + 0x9e3779b97f4a7c15ULL * (key + 1)));
   }
-  [[nodiscard]] std::uint64_t scope_salt(std::uint64_t g) const noexcept {
-    return splitmix64(options_.seed ^ (0xbf58476d1ce4e5b9ULL * (g + 1)));
+  /// Fault-fate substream selector for the op keyed `key` (distinct from
+  /// the RNG stream so fates and draws never correlate).
+  [[nodiscard]] std::uint64_t scope_salt(std::uint64_t key) const noexcept {
+    return splitmix64(options_.seed ^ (0xbf58476d1ce4e5b9ULL * (key + 1)));
   }
 
   std::size_t push(AnyOp op);
+
+  /// The window executor behind both entry points. With `pinned` set it
+  /// runs seal()'s epoch window: reads observe epoch *pinned, writes
+  /// commit into *pinned + 1 under armed retention, spans carry those
+  /// epochs, and defer_read applies. Without, it runs a typed call's
+  /// window against the live stores. Fills results and timeout_costs.
+  SealedEpoch run_window(std::span<const Pending> window,
+                         std::optional<vsm::Epoch> pinned);
+
+  /// A typed call: `ops` as one live window keyed by their call index.
+  template <typename Result, typename Op>
+  std::vector<Result> run_call(std::span<const Op> ops);
 
   /// Arms every node store: retain versions, stamp mutations `write`.
   void arm_stores(vsm::Epoch write);
@@ -171,8 +243,14 @@ class EpochEngine {
   std::vector<Pending> pending_;
   vsm::Epoch epoch_ = 0;
   std::uint64_t next_global_ = 0;
+  bool armed_ = false;  ///< arm_stores() ran: the destructor disarms
   std::optional<obs::Gauge> epoch_gauge_;
   std::optional<obs::Counter> epoch_advances_;
 };
+
+/// The names the benchmark sources (perfbench/) use for the engine and
+/// its options when they drive the typed calls.
+using BatchEngine = EpochEngine;
+using BatchOptions = EpochOptions;
 
 }  // namespace meteo::core

@@ -25,12 +25,13 @@
 ///   auto s = sys.similarity_search(keywords, 10);  // §3.5 two-phase
 ///   auto l = sys.locate(id, vector, {.walk_limit = 16});
 ///
-/// Batched execution (DESIGN.md §7): wrap the system in a
-/// core::BatchEngine (meteorograph/batch.hpp) to run whole vectors of
+/// Parallel execution (DESIGN.md §11): wrap the system in a
+/// core::EpochEngine (meteorograph/epoch.hpp) to run whole vectors of
 /// operations across a thread pool with bit-identical results at any
-/// worker count:
+/// worker count, either now through a typed call or as mixed epoch
+/// windows through submit()/seal():
 ///
-///   BatchEngine engine(sys, {.workers = 8});
+///   EpochEngine engine(sys, {.workers = 8});
 ///   auto results = engine.retrieve(ops);  // ops: span<const RetrieveOp>
 
 #include <algorithm>
@@ -276,7 +277,7 @@ class Meteorograph {
   /// overlay. Every routed message then passes through it; crashes it
   /// schedules are applied to the membership at the next operation
   /// boundary. Non-owning; nullptr detaches. Returns false — leaving the
-  /// current hook untouched — while a BatchEngine batch is in flight:
+  /// current hook untouched — while an EpochEngine window is in flight:
   /// swapping fault fates mid-stream would make in-flight operations
   /// depend on worker timing.
   bool set_fault_hook(overlay::FaultHook* hook) noexcept {
@@ -285,7 +286,8 @@ class Meteorograph {
     return true;
   }
 
-  /// True between BatchEngine::*() entry and exit.
+  /// True while an EpochEngine window runs: from entry to exit of a
+  /// typed call or a seal().
   [[nodiscard]] bool batch_in_flight() const noexcept {
     return batch_in_flight_;
   }
@@ -336,7 +338,6 @@ class Meteorograph {
   [[nodiscard]] Rng& rng() noexcept { return rng_; }
 
  private:
-  friend class BatchEngine;
   friend class EpochEngine;
 
   struct NodeData {
@@ -400,7 +401,7 @@ class Meteorograph {
   obs::Histogram& op_naming_keys(obs::OpKind op);
 
   /// Per-operation hop accounting captured by the const op cores. The
-  /// batch engine holds one OpTrace per operation (a private shard — no
+  /// engine holds one OpTrace per operation (a private shard — no
   /// locking) and folds them into the metric registry in op-index order,
   /// which keeps metric accumulation deterministic. The span recorder
   /// rides along: events are buffered here per op and committed to the
@@ -461,9 +462,9 @@ class Meteorograph {
   void record_search(const SearchResult& r, OpTrace& trace);
   void record_range_search(const RangeSearchResult& r, OpTrace& trace);
 
-  // Mutating split for batched publish: plan in parallel (const), commit
-  // sequentially in op-index order. The plan is mutable in commit: its
-  // span accumulates the commit legs' events and is finished there.
+  // Mutating split of publish: plan (const, routes only), then commit.
+  // The plan is mutable in commit: its span accumulates the commit legs'
+  // events and is finished there.
   PublishPlan plan_publish(const vsm::SparseVector& vector,
                            const PublishOptions& options, Rng& rng) const;
   /// Fig. 2 step 3: store `entry` at `start`, overflow-chaining through
@@ -479,9 +480,10 @@ class Meteorograph {
   WithdrawResult withdraw_with(vsm::ItemId id, const vsm::SparseVector& vector,
                                const WithdrawOptions& options, Rng& rng);
 
-  /// Batch bracket used by BatchEngine: begin applies due crashes once for
-  /// the whole batch and freezes the membership snapshot; set_fault_hook
-  /// is rejected in between. \pre no batch already in flight
+  /// Batch bracket around each EpochEngine window: begin applies due
+  /// crashes once for the whole window and freezes the membership
+  /// snapshot; set_fault_hook is rejected in between.
+  /// \pre no batch already in flight
   void begin_batch();
   void end_batch() noexcept { batch_in_flight_ = false; }
 

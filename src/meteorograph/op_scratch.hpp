@@ -43,8 +43,8 @@ struct OpScratch {
 
 /// The calling thread's scratch. Each read-op core calls this once at
 /// entry. Op cores never nest (no core calls another core), so per-op
-/// reuse within a thread is safe, and every BatchEngine / EpochEngine
-/// worker thread owns its own instance.
+/// reuse within a thread is safe, and every EpochEngine worker thread
+/// owns its own instance.
 [[nodiscard]] OpScratch& op_scratch();
 
 }  // namespace meteo::core

@@ -59,7 +59,7 @@ RetrieveResult Meteorograph::retrieve_op(const vsm::SparseVector& query,
   std::pmr::unordered_set<vsm::ItemId> seen(&scratch.arena);
   // One result buffer for the whole walk: the per-node top_k refills it
   // in place, so the loop stops reallocating a vector per node visit
-  // (this op may run inside a BatchEngine worker's tight per-op loop).
+  // (this op may run inside an EpochEngine worker's tight per-op loop).
   std::vector<vsm::ScoredItem>& local = scratch.local;
   local.clear();
   bool blocked = false;

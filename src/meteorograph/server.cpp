@@ -1,6 +1,7 @@
 #include "meteorograph/server.hpp"
 
 #include <algorithm>
+#include <type_traits>
 #include <vector>
 
 namespace meteo::core {
@@ -14,12 +15,42 @@ EpochOptions engine_options(const ServeOptions& options) {
   return out;
 }
 
+bool usable(const vsm::SparseVector* v) { return v != nullptr && !v->empty(); }
+
+/// False for the malformed inputs Server::submit lists, each of which an
+/// op core would reject with a precondition failure.
+bool well_formed(const Server::Request& request, const Meteorograph& system) {
+  return std::visit(
+      [&](const auto& op) {
+        using Op = std::decay_t<decltype(op)>;
+        if constexpr (std::is_same_v<Op, RetrieveOp>) {
+          return usable(op.query) && op.amount > 0;
+        } else if constexpr (std::is_same_v<Op, SearchOp>) {
+          return !op.keywords.empty();
+        } else if constexpr (std::is_same_v<Op, RangeSearchOp>) {
+          // lo <= hi is false for a NaN bound too.
+          return op.lo <= op.hi && op.attribute < system.attributes().size();
+        } else if constexpr (std::is_same_v<Op, DepartOp>) {
+          return true;
+        } else {
+          return usable(op.vector);  // locate, publish, withdraw
+        }
+      },
+      request);
+}
+
 }  // namespace
 
 Server::Server(Meteorograph& system, ServeOptions options)
-    : engine_(system, engine_options(options)), options_(options) {}
+    : system_(system),
+      engine_(system, engine_options(options)),
+      options_(options) {}
 
 std::optional<Server::Ticket> Server::submit(Request request) {
+  if (!well_formed(request, system_)) {
+    ++invalid_;
+    return std::nullopt;
+  }
   if (queue_.size() >= options_.queue_capacity) {
     ++rejected_;
     return std::nullopt;

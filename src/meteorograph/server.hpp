@@ -5,9 +5,11 @@
 ///
 /// The server accepts a stream of requests into a bounded queue
 /// (admission control: submit() refuses when the queue is full, callers
-/// back off and retry) and serves them in epoch-sized windows: each
-/// pump() drains up to `ops_per_epoch` queued requests into the
-/// EpochEngine, seals one epoch, and delivers a completion per request.
+/// back off and retry; it also refuses a malformed request, which would
+/// otherwise trip a precondition and abort the process mid-window) and
+/// serves them in epoch-sized windows: each pump() drains up to
+/// `ops_per_epoch` queued requests into the EpochEngine, seals one
+/// epoch, and delivers a completion per request.
 ///
 /// Deadlines reuse the fault-path timeout/backoff machinery: every op's
 /// simulated seconds spent waiting on timeouts (the same quantity the
@@ -17,7 +19,7 @@
 /// serve schedule replays bit-identically (determinism contract, §8);
 /// the bench driver wraps pump() with real timers.
 ///
-/// Requests borrow their vectors exactly like the batch/epoch op structs:
+/// Requests borrow their vectors exactly like the engine's op structs:
 /// the caller keeps a request's payload alive until its completion fires.
 ///
 ///   Server server(sys, {.queue_capacity = 256, .ops_per_epoch = 64});
@@ -79,7 +81,12 @@ class Server {
   Server(Meteorograph& system, ServeOptions options = {});
 
   /// Admits a request, FIFO. Returns its ticket, or nullopt when the
-  /// queue is at capacity (admission control — the caller backs off).
+  /// queue is at capacity (admission control — the caller backs off) or
+  /// the request is malformed: a search with no keywords, a null or
+  /// empty vector or query, a retrieve of amount 0, or a range search
+  /// with lo > hi, a NaN bound, or an unregistered attribute. Departures
+  /// are not checked here: whether a node is alive depends on the
+  /// window's earlier ops.
   std::optional<Ticket> submit(Request request);
 
   /// Serves one epoch window: drains up to ops_per_epoch queued requests,
@@ -93,19 +100,24 @@ class Server {
 
   // Lifetime tallies (admission + deadline accounting).
   [[nodiscard]] std::uint64_t accepted() const noexcept { return accepted_; }
+  /// Refused because the queue was full.
   [[nodiscard]] std::uint64_t rejected() const noexcept { return rejected_; }
+  /// Refused because the request was malformed.
+  [[nodiscard]] std::uint64_t invalid() const noexcept { return invalid_; }
   [[nodiscard]] std::uint64_t served() const noexcept { return served_; }
   [[nodiscard]] std::uint64_t deadline_misses() const noexcept {
     return deadline_misses_;
   }
 
  private:
+  const Meteorograph& system_;
   EpochEngine engine_;
   ServeOptions options_;
   std::deque<std::pair<Ticket, Request>> queue_;
   Ticket next_ticket_ = 1;
   std::uint64_t accepted_ = 0;
   std::uint64_t rejected_ = 0;
+  std::uint64_t invalid_ = 0;
   std::uint64_t served_ = 0;
   std::uint64_t deadline_misses_ = 0;
 };

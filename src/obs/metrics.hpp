@@ -4,16 +4,14 @@
 /// Labeled metric registry: counters, gauges, and fixed-bucket histograms
 /// keyed by (name, label set).
 ///
-/// This supersedes sim::MetricRegistry for the Meteorograph op path. The
-/// design goals, in order:
+/// The design goals, in order:
 ///
 ///  1. **Stable handles.** counter()/gauge()/histogram() return small
 ///     handle objects wrapping a pointer to the cell inside a std::map.
 ///     Map nodes never move, so handles stay valid across later
 ///     registrations *and across reset()* — reset() zeroes every cell in
-///     place instead of clearing the maps. This fixes the footgun in the
-///     old registry, where reset() invalidated every outstanding
-///     reference while benches held them across repetitions.
+///     place instead of clearing the maps, so benches may hold handles
+///     across repetitions.
 ///  2. **Deterministic export.** All iteration is over ordered maps, so
 ///     two registries with the same contents serialise byte-identically.
 ///  3. **Fixed buckets.** Histograms take their upper bounds at creation
@@ -112,10 +110,10 @@ class Histogram {
   HistogramData* cell_ = nullptr;
 };
 
-/// The registry. Not thread-safe by design: the batch engine records
-/// metrics only on the coordinating thread, in op-index order (DESIGN.md
-/// §7/§8), so a mutex here would buy nothing and cost determinism
-/// reviews their confidence.
+/// The registry. Not thread-safe by design: the execution engine
+/// records metrics only on the coordinating thread, in op-index order
+/// (DESIGN.md §8/§11), so a mutex here would buy nothing and cost
+/// determinism reviews their confidence.
 class MetricRegistry {
  public:
   /// Find-or-create. Labels are normalised (sorted) internally; the

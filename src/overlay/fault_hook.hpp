@@ -82,29 +82,21 @@ class FaultHook {
   /// scheduled crash is returned exactly once.
   virtual std::vector<NodeId> take_due_crashes() { return {}; }
 
-  // --- batched execution (DESIGN.md §7) --------------------------------------
-  /// A hook that supports per-operation fate scopes lets the batch engine
-  /// run operations concurrently: inside a scope, fates come from a
-  /// substream keyed by (scope salt, in-scope message index) on the
+  // --- parallel execution (DESIGN.md §11) ------------------------------------
+  /// A hook that supports per-operation fate scopes lets the execution
+  /// engine run operations concurrently: inside a scope, fates come from
+  /// a substream keyed by (scope salt, in-scope message index) on the
   /// calling thread instead of any hook-global counter, so an operation's
   /// fates are independent of how workers interleave. Hooks that return
   /// false are driven single-threaded by the engine instead.
   [[nodiscard]] virtual bool supports_op_scopes() const { return false; }
 
-  /// Enters a per-operation fate scope on the calling thread. `salt`
-  /// selects the substream; `first_message` resumes a previously closed
-  /// scope at that in-scope index (used when one logical operation spans
-  /// a parallel plan phase and a sequential commit phase).
-  virtual void begin_op_scope(std::uint64_t salt,
-                              std::uint64_t first_message = 0) {
-    (void)salt;
-    (void)first_message;
-  }
+  /// Enters a per-operation fate scope on the calling thread; `salt`
+  /// selects the substream.
+  virtual void begin_op_scope(std::uint64_t salt) { (void)salt; }
 
-  /// Leaves the scope, folding its tallies into the hook's totals, and
-  /// returns the next in-scope message index for a later
-  /// begin_op_scope(salt, <returned value>) to resume the stream.
-  virtual std::uint64_t end_op_scope() { return 0; }
+  /// Leaves the scope, folding its tallies into the hook's totals.
+  virtual void end_op_scope() {}
 };
 
 }  // namespace meteo::overlay

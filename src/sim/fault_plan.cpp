@@ -85,7 +85,7 @@ overlay::MessageFate FaultPlan::on_message(
   if (scope_.active) {
     // Scoped mode: fates come from the (salt, in-scope index) substream,
     // tallies stay thread-private until end_op_scope. Scheduled events do
-    // not fire here — the batch engine applies them at batch boundaries.
+    // not fire here — the engine applies them at window boundaries.
     const overlay::MessageFate fate =
         decide(splitmix64(scope_.salt) + scope_.index);
     ++scope_.index;
@@ -107,7 +107,7 @@ overlay::MessageFate FaultPlan::on_message(
   }
   fire_due_events();
   const overlay::MessageFate fate = decide(messages_.load(
-      // meteo-lint: relaxed(unscoped path is single-threaded; batch workers use OpScope)
+      // meteo-lint: relaxed(unscoped path is single-threaded; engine workers use OpScope)
       std::memory_order_relaxed));
   // meteo-lint: relaxed(metric total; read after join/commit barrier)
   messages_.fetch_add(1, std::memory_order_relaxed);
@@ -130,15 +130,13 @@ overlay::MessageFate FaultPlan::on_message(
   return fate;
 }
 
-void FaultPlan::begin_op_scope(std::uint64_t salt,
-                               std::uint64_t first_message) {
+void FaultPlan::begin_op_scope(std::uint64_t salt) {
   scope_ = OpScope{};
   scope_.active = true;
   scope_.salt = salt;
-  scope_.index = first_message;
 }
 
-std::uint64_t FaultPlan::end_op_scope() {
+void FaultPlan::end_op_scope() {
   // meteo-lint: relaxed(metric total; read after join/commit barrier)
   messages_.fetch_add(scope_.messages, std::memory_order_relaxed);
   // meteo-lint: relaxed(metric total; read after join/commit barrier)
@@ -147,9 +145,7 @@ std::uint64_t FaultPlan::end_op_scope() {
   delayed_.fetch_add(scope_.delayed, std::memory_order_relaxed);
   // meteo-lint: relaxed(metric total; read after join/commit barrier)
   duplicated_.fetch_add(scope_.duplicated, std::memory_order_relaxed);
-  const std::uint64_t next = scope_.index;
   scope_ = OpScope{};
-  return next;
 }
 
 bool FaultPlan::is_stalled(overlay::NodeId node) const {

@@ -60,16 +60,15 @@ class FaultPlan final : public overlay::FaultHook {
   [[nodiscard]] bool is_stalled(overlay::NodeId node) const override;
   std::vector<overlay::NodeId> take_due_crashes() override;
 
-  // --- batched execution (per-operation fate scopes) -------------------------
+  // --- parallel execution (per-operation fate scopes) ------------------------
   /// Inside a scope, fates come from the (seed, salt, in-scope index)
   /// substream on the calling thread; totals fold in at end_op_scope so
   /// they are order-independent sums. Scheduled node events do NOT fire
-  /// mid-scope — the batch engine applies them at batch boundaries via
+  /// mid-scope — the engine applies them at window boundaries via
   /// take_due_crashes().
   [[nodiscard]] bool supports_op_scopes() const override { return true; }
-  void begin_op_scope(std::uint64_t salt,
-                      std::uint64_t first_message = 0) override;
-  std::uint64_t end_op_scope() override;
+  void begin_op_scope(std::uint64_t salt) override;
+  void end_op_scope() override;
 
   // --- introspection ---------------------------------------------------------
   [[nodiscard]] const FaultPlanConfig& config() const noexcept {
@@ -100,7 +99,7 @@ class FaultPlan final : public overlay::FaultHook {
     Kind kind;
   };
 
-  /// Per-thread scope state while a batch engine drives this plan. One
+  /// Per-thread scope state while the engine drives this plan. One
   /// thread works one operation at a time, so a single slot suffices; the
   /// tallies are private to the thread until end_op_scope folds them into
   /// the atomic totals.

@@ -15,7 +15,7 @@ namespace detail {
 /// a slot whose tag differs from `cur` reads as untouched, so starting a
 /// query is one counter bump, and scoring allocates nothing once the
 /// arrays are warm. The scratch is thread_local (see begin_scratch) so
-/// const kernels stay safe under the BatchEngine's parallel read batches.
+/// const kernels stay safe under the EpochEngine's parallel read phases.
 struct ScoreScratch {
   std::vector<double> acc;          ///< partial dot product per slot
   std::vector<std::size_t> count;   ///< matched-term count per slot

@@ -9,7 +9,7 @@
 #include <string>
 #include <vector>
 
-#include "meteorograph/batch.hpp"
+#include "meteorograph/epoch.hpp"
 #include "obs/export.hpp"
 #include "obs/names.hpp"
 #include "sim/fault_plan.hpp"
@@ -26,7 +26,7 @@ struct StressRun {
   std::vector<vsm::SparseVector> vectors;
   std::optional<sim::FaultPlan> plan;
   std::optional<Meteorograph> sys;
-  std::optional<BatchEngine> engine;
+  std::optional<EpochEngine> engine;
 
   std::vector<PublishResult> published;
   std::vector<RetrieveResult> retrieved;
@@ -54,7 +54,7 @@ void run_stress(StressRun& run, std::size_t workers) {
   run.sys.emplace(cfg, sample, 31);
   run.plan.emplace(sim::FaultPlanConfig{.drop_rate = kDropRate}, 77);
   ASSERT_TRUE(run.sys->set_fault_hook(&*run.plan));
-  run.engine.emplace(*run.sys, BatchOptions{.workers = workers, .seed = 404});
+  run.engine.emplace(*run.sys, EpochOptions{.workers = workers, .seed = 404});
 
   std::vector<PublishOp> publishes;
   for (vsm::ItemId id = 0; id < kItems; ++id) {

@@ -1,4 +1,4 @@
-#include "meteorograph/batch.hpp"
+#include "meteorograph/epoch.hpp"
 
 #include <gtest/gtest.h>
 
@@ -111,6 +111,14 @@ void expect_equal(const RetrieveResult& a, const RetrieveResult& b,
   EXPECT_EQ(a.items_missed, b.items_missed) << "op " << i;
 }
 
+void expect_equal(const SearchResult& a, const SearchResult& b,
+                  std::size_t i) {
+  EXPECT_EQ(a.items, b.items) << "op " << i;
+  EXPECT_EQ(a.discovery_hops, b.discovery_hops) << "op " << i;
+  EXPECT_EQ(a.total_messages(), b.total_messages()) << "op " << i;
+  EXPECT_EQ(a.partial, b.partial) << "op " << i;
+}
+
 void expect_equal(const PublishResult& a, const PublishResult& b,
                   std::size_t i) {
   EXPECT_EQ(a.success, b.success) << "op " << i;
@@ -131,8 +139,8 @@ TEST(BatchDeterminism, LocateBatchIdenticalAcrossWorkerCounts) {
   Meteorograph sys4 = make_published_system(wl, 11);
 
   const std::vector<LocateOp> ops = locate_ops(wl);
-  BatchEngine engine1(sys1, {.workers = 1, .seed = 7});
-  BatchEngine engine4(sys4, {.workers = 4, .seed = 7});
+  EpochEngine engine1(sys1, {.workers = 1, .seed = 7});
+  EpochEngine engine4(sys4, {.workers = 4, .seed = 7});
   const auto r1 = engine1.locate(ops);
   const auto r4 = engine4.locate(ops);
 
@@ -159,8 +167,8 @@ TEST(BatchDeterminism, RetrieveAndSearchBatchesIdenticalAcrossWorkerCounts) {
     searches.push_back(SearchOp{queries.back(), 4, {}});
   }
 
-  BatchEngine engine1(sys1, {.workers = 1, .seed = 3});
-  BatchEngine engine4(sys4, {.workers = 4, .seed = 3});
+  EpochEngine engine1(sys1, {.workers = 1, .seed = 3});
+  EpochEngine engine4(sys4, {.workers = 4, .seed = 3});
   const auto rr1 = engine1.retrieve(retrieves);
   const auto rr4 = engine4.retrieve(retrieves);
   const auto sr1 = engine1.similarity_search(searches);
@@ -169,12 +177,7 @@ TEST(BatchDeterminism, RetrieveAndSearchBatchesIdenticalAcrossWorkerCounts) {
   ASSERT_EQ(rr1.size(), rr4.size());
   for (std::size_t i = 0; i < rr1.size(); ++i) expect_equal(rr1[i], rr4[i], i);
   ASSERT_EQ(sr1.size(), sr4.size());
-  for (std::size_t i = 0; i < sr1.size(); ++i) {
-    EXPECT_EQ(sr1[i].items, sr4[i].items) << "op " << i;
-    EXPECT_EQ(sr1[i].discovery_hops, sr4[i].discovery_hops) << "op " << i;
-    EXPECT_EQ(sr1[i].total_messages(), sr4[i].total_messages()) << "op " << i;
-    EXPECT_EQ(sr1[i].partial, sr4[i].partial) << "op " << i;
-  }
+  for (std::size_t i = 0; i < sr1.size(); ++i) expect_equal(sr1[i], sr4[i], i);
   EXPECT_EQ(metric_fingerprint(sys1.metrics()),
             metric_fingerprint(sys4.metrics()));
 }
@@ -189,8 +192,8 @@ TEST(BatchDeterminism, FaultedLocateBatchIdenticalAcrossWorkerCounts) {
   ASSERT_TRUE(sys4.set_fault_hook(&plan4));
 
   const std::vector<LocateOp> ops = locate_ops(wl);
-  BatchEngine engine1(sys1, {.workers = 1, .seed = 21});
-  BatchEngine engine4(sys4, {.workers = 4, .seed = 21});
+  EpochEngine engine1(sys1, {.workers = 1, .seed = 21});
+  EpochEngine engine4(sys4, {.workers = 4, .seed = 21});
   const auto r1 = engine1.locate(ops);
   const auto r4 = engine4.locate(ops);
 
@@ -214,8 +217,8 @@ TEST(BatchDeterminism, PublishBatchIdenticalAcrossWorkerCounts) {
   for (vsm::ItemId id = 0; id < wl.vectors.size(); ++id) {
     ops.push_back(PublishOp{id, &wl.vectors[id], {}});
   }
-  BatchEngine engine1(sys1, {.workers = 1, .seed = 5});
-  BatchEngine engine4(sys4, {.workers = 4, .seed = 5});
+  EpochEngine engine1(sys1, {.workers = 1, .seed = 5});
+  EpochEngine engine4(sys4, {.workers = 4, .seed = 5});
   const auto r1 = engine1.publish(ops);
   const auto r4 = engine4.publish(ops);
 
@@ -243,7 +246,7 @@ TEST(BatchEngine, MatchesSequentialFacadeWithPinnedSource) {
     ops.push_back(LocateOp{id, &wl.vectors[id], {.from = source}});
     expected.push_back(facade_sys.locate(id, wl.vectors[id], {.from = source}));
   }
-  BatchEngine engine(engine_sys, {.workers = 4});
+  EpochEngine engine(engine_sys, {.workers = 4});
   const auto results = engine.locate(ops);
 
   ASSERT_EQ(results.size(), expected.size());
@@ -262,13 +265,197 @@ TEST(BatchEngine, WithdrawBatchRemovesItems) {
   for (vsm::ItemId id = 0; id < 40; ++id) {
     ops.push_back(WithdrawOp{id, &wl.vectors[id], {}});
   }
-  BatchEngine engine(sys, {.workers = 4});
+  EpochEngine engine(sys, {.workers = 4});
   const auto results = engine.withdraw(ops);
   ASSERT_EQ(results.size(), ops.size());
   for (std::size_t i = 0; i < results.size(); ++i) {
     EXPECT_TRUE(results[i].removed) << "op " << i;
   }
   EXPECT_EQ(sys.stored_item_count(), wl.vectors.size() - ops.size());
+}
+
+// --- typed calls: repeatable, epoch-neutral, one window --------------------
+
+template <typename Result>
+void expect_all_equal(const std::vector<Result>& a,
+                      const std::vector<Result>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) expect_equal(a[i], b[i], i);
+}
+
+/// Read ops over the first `n` items (searches borrow `queries`, which
+/// the caller keeps alive and must not grow afterwards).
+struct ReadOps {
+  std::vector<LocateOp> locates;
+  std::vector<RetrieveOp> retrieves;
+  std::vector<SearchOp> searches;
+};
+
+ReadOps read_ops(const TestWorkload& wl, std::size_t n,
+                 std::vector<std::vector<vsm::KeywordId>>& queries) {
+  ReadOps ops;
+  queries.reserve(n);
+  for (vsm::ItemId id = 0; id < n; ++id) {
+    ops.locates.push_back(LocateOp{id, &wl.vectors[id], {}});
+    ops.retrieves.push_back(RetrieveOp{&wl.vectors[id], 4, {}});
+    queries.push_back({wl.vectors[id].entries()[0].keyword});
+    ops.searches.push_back(SearchOp{queries.back(), 3, {}});
+  }
+  return ops;
+}
+
+TEST(EngineTypedCalls, RepeatedReadCallsGiveIdenticalResultsAndMetricDeltas) {
+  const TestWorkload wl = make_workload(120, 20);
+  Meteorograph sys = make_published_system(wl, 20);
+  sim::FaultPlan plan({.drop_rate = 0.05}, 55);
+  ASSERT_TRUE(sys.set_fault_hook(&plan));
+  std::vector<std::vector<vsm::KeywordId>> queries;
+  const ReadOps ops = read_ops(wl, 60, queries);
+  EpochEngine engine(sys, {.workers = 4, .seed = 9});
+
+  struct Round {
+    std::vector<LocateResult> locates;
+    std::vector<RetrieveResult> retrieves;
+    std::vector<SearchResult> searches;
+    std::string metrics;
+  };
+  // One round's metric delta: the registry is zeroed in place before the
+  // calls and exported after them.
+  const auto round = [&] {
+    sys.metrics().reset();
+    Round r;
+    r.locates = engine.locate(ops.locates);
+    r.retrieves = engine.retrieve(ops.retrieves);
+    r.searches = engine.similarity_search(ops.searches);
+    r.metrics = metric_fingerprint(sys.metrics());
+    return r;
+  };
+  const Round first = round();
+  const Round second = round();
+
+  expect_all_equal(first.locates, second.locates);
+  expect_all_equal(first.retrieves, second.retrieves);
+  expect_all_equal(first.searches, second.searches);
+  EXPECT_GT(plan.dropped(), 0u);
+  EXPECT_EQ(first.metrics, second.metrics);
+  EXPECT_EQ(engine.epoch(), 0u);
+}
+
+/// Every field the tests below compare, one line per op.
+void append(std::string& out, const LocateResult& r) {
+  out += "locate " + std::to_string(r.found) + ' ' + std::to_string(r.node) +
+         ' ' + std::to_string(r.total_hops());
+}
+void append(std::string& out, const RetrieveResult& r) {
+  out += "retrieve";
+  for (const vsm::ScoredItem& hit : r.items) {
+    out += ' ' + std::to_string(hit.id) + ':' + obs::format_double(hit.score);
+  }
+  out += ' ' + std::to_string(r.total_hops()) + ' ' +
+         std::to_string(r.partial);
+}
+void append(std::string& out, const PublishResult& r) {
+  out += "publish " + std::to_string(r.success) + ' ' +
+         std::to_string(r.stored_at) + ' ' +
+         std::to_string(r.total_messages()) + ' ' + std::to_string(r.degraded);
+}
+void append(std::string& out, const WithdrawResult& r) {
+  out += "withdraw " + std::to_string(r.removed) + ' ' +
+         std::to_string(r.messages);
+}
+template <typename Result>
+void append(std::string& out, const Result&) {
+  out += "unexpected kind";
+}
+
+std::string describe(const EpochEngine::SealedEpoch& sealed) {
+  std::string out = "epoch " + std::to_string(sealed.epoch) + '\n';
+  for (std::size_t i = 0; i < sealed.results.size(); ++i) {
+    std::visit([&](const auto& r) { append(out, r); }, sealed.results[i]);
+    out += " tc=" + obs::format_double(sealed.timeout_costs[i]) + '\n';
+  }
+  return out;
+}
+
+/// Two sealed mixed windows under 5% drop; with `probe`, typed read calls
+/// run on the same engine between the seals.
+std::string two_seals(const TestWorkload& wl, bool probe) {
+  Meteorograph sys = make_published_system(wl, 19);
+  sim::FaultPlan plan({.drop_rate = 0.05}, 77);
+  EXPECT_TRUE(sys.set_fault_hook(&plan));
+  std::vector<std::vector<vsm::KeywordId>> queries;
+  const ReadOps reads = read_ops(wl, 40, queries);
+  EpochEngine engine(sys, {.workers = 4, .seed = 8});
+
+  const auto submit_window = [&](vsm::ItemId base) {
+    for (vsm::ItemId id = base; id < base + 20; ++id) {
+      engine.submit(LocateOp{id, &wl.vectors[id], {}});
+      engine.submit(PublishOp{1000 + id, &wl.vectors[id], {}});
+      engine.submit(RetrieveOp{&wl.vectors[id], 4, {}});
+      engine.submit(WithdrawOp{id + 80, &wl.vectors[id + 80], {}});
+    }
+  };
+  submit_window(0);
+  std::string out = describe(engine.seal());
+  if (probe) {
+    (void)engine.locate(reads.locates);
+    (void)engine.retrieve(reads.retrieves);
+    (void)engine.similarity_search(reads.searches);
+  }
+  out += "next epoch " + std::to_string(engine.epoch()) + '\n';
+  submit_window(20);
+  out += describe(engine.seal());
+  return out;
+}
+
+TEST(EngineTypedCalls, ReadCallsBetweenSealsLeaveTheEpochsUntouched) {
+  const TestWorkload wl = make_workload(150, 19);
+  const std::string plain = two_seals(wl, false);
+  EXPECT_NE(plain.find("next epoch 1"), std::string::npos);
+  EXPECT_EQ(two_seals(wl, true), plain);
+}
+
+/// The registry minus the epoch.* series, which only seal() publishes.
+std::string without_epoch_series(const obs::MetricRegistry& metrics) {
+  std::istringstream in(metric_fingerprint(metrics));
+  std::string out;
+  for (std::string line; std::getline(in, line);) {
+    if (line.find("epoch.") != std::string::npos) continue;
+    out += line;
+    out += '\n';
+  }
+  return out;
+}
+
+TEST(EngineTypedCalls, PublishCallMatchesOneSealedWindowOfAFreshEngine) {
+  const TestWorkload wl = make_workload(150, 21);
+  Meteorograph call_sys(small_config(), wl.sample, 21);
+  Meteorograph seal_sys(small_config(), wl.sample, 21);
+  sim::FaultPlan call_plan({.drop_rate = 0.05}, 66);
+  sim::FaultPlan seal_plan({.drop_rate = 0.05}, 66);
+  ASSERT_TRUE(call_sys.set_fault_hook(&call_plan));
+  ASSERT_TRUE(seal_sys.set_fault_hook(&seal_plan));
+
+  std::vector<PublishOp> ops;
+  for (vsm::ItemId id = 0; id < wl.vectors.size(); ++id) {
+    ops.push_back(PublishOp{id, &wl.vectors[id], {}});
+  }
+  EpochEngine call_engine(call_sys, {.workers = 4, .seed = 10});
+  const std::vector<PublishResult> called = call_engine.publish(ops);
+  EpochEngine seal_engine(seal_sys, {.workers = 4, .seed = 10});
+  for (const PublishOp& op : ops) seal_engine.submit(op);
+  const EpochEngine::SealedEpoch sealed = seal_engine.seal();
+
+  ASSERT_EQ(called.size(), sealed.results.size());
+  for (std::size_t i = 0; i < called.size(); ++i) {
+    expect_equal(called[i], std::get<PublishResult>(sealed.results[i]), i);
+  }
+  EXPECT_GT(call_plan.dropped(), 0u);
+  EXPECT_EQ(call_plan.dropped(), seal_plan.dropped());
+  EXPECT_EQ(call_sys.node_loads(), seal_sys.node_loads());
+  EXPECT_EQ(without_epoch_series(call_sys.metrics()),
+            without_epoch_series(seal_sys.metrics()));
+  EXPECT_EQ(call_engine.epoch(), 0u);
 }
 
 // --- fault-hook guard (regression: attach mid-batch) -----------------------
@@ -308,7 +495,7 @@ TEST(BatchEngine, SetFaultHookRejectedMidBatch) {
   ASSERT_TRUE(sys.set_fault_hook(&hook));
 
   const std::vector<LocateOp> ops = locate_ops(wl);
-  BatchEngine engine(sys, {.workers = 4});
+  EpochEngine engine(sys, {.workers = 4});
   (void)engine.locate(ops);
 
   EXPECT_GT(hook.calls(), 0u);
@@ -358,7 +545,7 @@ TEST(BatchEngine, SetFaultHookReattachesAfterBatchDrains) {
   ASSERT_TRUE(sys.set_fault_hook(&hook));
 
   const std::vector<LocateOp> ops = locate_ops(wl);
-  BatchEngine engine(sys, {.workers = 4});
+  EpochEngine engine(sys, {.workers = 4});
   (void)engine.locate(ops);
 
   // Every mid-batch swap attempt was rejected: the original hook carried

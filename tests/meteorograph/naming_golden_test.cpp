@@ -19,7 +19,7 @@
 #include <string>
 #include <vector>
 
-#include "meteorograph/batch.hpp"
+#include "meteorograph/epoch.hpp"
 #include "obs/export.hpp"
 #include "obs/trace.hpp"
 #include "workload/trace.hpp"
@@ -31,7 +31,7 @@ namespace {
 
 /// FNV-1a over the accumulated byte string. Everything fed in is either
 /// integral or a double produced by deterministic IEEE arithmetic (the
-/// bit-identical contract, DESIGN.md §7), so the hash is exact.
+/// bit-identical contract, DESIGN.md §11), so the hash is exact.
 class Fingerprint {
  public:
   void add(std::uint64_t v) {
@@ -118,7 +118,7 @@ std::uint64_t fig7_fingerprint() {
 
   obs::TraceLog log;
   EXPECT_TRUE(sys->set_tracer(&log));
-  BatchEngine engine(*sys, BatchOptions{.workers = 3, .seed = 5});
+  EpochEngine engine(*sys, EpochOptions{.workers = 3, .seed = 5});
   std::vector<LocateOp> locates;
   std::vector<RetrieveOp> retrieves;
   for (vsm::ItemId id = 0; id < corpus.vectors.size(); id += 2) {
@@ -179,7 +179,7 @@ std::uint64_t fig10_fingerprint() {
   std::vector<SearchOp> ops;
   ops.reserve(queries.size());
   for (const auto& q : queries) ops.push_back(SearchOp{q, 10, {}});
-  BatchEngine engine(*sys, BatchOptions{.workers = 3, .seed = 7});
+  EpochEngine engine(*sys, EpochOptions{.workers = 3, .seed = 7});
   for (const SearchResult& r : engine.similarity_search(ops)) {
     fp.add(static_cast<std::uint64_t>(r.items.size()));
     for (std::size_t i = 0; i < r.items.size(); ++i) {

@@ -11,7 +11,7 @@
 #include <string>
 #include <vector>
 
-#include "meteorograph/batch.hpp"
+#include "meteorograph/epoch.hpp"
 #include "meteorograph/naming/lsh.hpp"
 #include "meteorograph/naming/range_key.hpp"
 #include "meteorograph/naming/strategy.hpp"
@@ -350,7 +350,7 @@ void run_lsh(LshRun& run, std::size_t workers) {
   run.plan.emplace(sim::FaultPlanConfig{.drop_rate = 0.05}, 99);
   ASSERT_TRUE(run.sys->set_fault_hook(&*run.plan));
 
-  BatchEngine engine(*run.sys, BatchOptions{.workers = workers, .seed = 5});
+  EpochEngine engine(*run.sys, EpochOptions{.workers = workers, .seed = 5});
   std::vector<LocateOp> locates;
   std::vector<RetrieveOp> retrieves;
   for (vsm::ItemId id = 0; id < run.vectors.size(); id += 2) {

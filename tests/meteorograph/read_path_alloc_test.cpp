@@ -20,7 +20,7 @@
 
 #include "common/alloc_probe.hpp"
 #include "common/rng.hpp"
-#include "meteorograph/batch.hpp"
+#include "meteorograph/epoch.hpp"
 #include "overlay/overlay.hpp"
 #include "workload/trace.hpp"
 
@@ -143,7 +143,7 @@ TEST(ReadPathAlloc, WarmSearchBatchAllocatesNothing) {
   Meteorograph sys = make_system(f, 80, 0x516);
   // workers = 1 runs every op on this thread: the cold pass below warms
   // exactly the thread_local scratch the measured pass will use.
-  BatchEngine engine(sys, {.workers = 1, .seed = 42});
+  EpochEngine engine(sys, {.workers = 1, .seed = 42});
 
   std::vector<SearchOp> ops;
   for (const auto& q : f.queries) ops.push_back(SearchOp{q, 0, {}});
@@ -169,7 +169,7 @@ TEST(ReadPathAlloc, WarmSearchBatchAllocatesNothing) {
 TEST(ReadPathAlloc, WarmRetrieveAndLocateBatchesAllocateNothing) {
   const Fixture f = make_fixture(300, 0x517);
   Meteorograph sys = make_system(f, 80, 0x517);
-  BatchEngine engine(sys, {.workers = 1, .seed = 43});
+  EpochEngine engine(sys, {.workers = 1, .seed = 43});
 
   std::vector<RetrieveOp> retrieves;
   std::vector<LocateOp> locates;

@@ -105,9 +105,8 @@ TEST(Registry, GaugeOverwrites) {
   EXPECT_DOUBLE_EQ(registry.gauge_value("system.alive_nodes"), 97.0);
 }
 
-// Regression test for the sim::MetricRegistry footgun this registry
-// supersedes: its reset() cleared the maps, so handles held across
-// repetitions dangled. Here reset() zeroes cells in place and every
+// A registry whose reset() cleared its maps would dangle every handle
+// held across repetitions. Here reset() zeroes cells in place and every
 // handle stays usable.
 TEST(Registry, HandlesSurviveReset) {
   MetricRegistry registry;

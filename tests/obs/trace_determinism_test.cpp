@@ -10,7 +10,7 @@
 #include <string>
 #include <vector>
 
-#include "meteorograph/batch.hpp"
+#include "meteorograph/epoch.hpp"
 #include "obs/export.hpp"
 #include "obs/names.hpp"
 #include "obs/trace.hpp"
@@ -61,7 +61,7 @@ void run_traced(TracedRun& run, std::size_t workers) {
   run.plan.emplace(sim::FaultPlanConfig{.drop_rate = kDropRate}, 99);
   ASSERT_TRUE(run.sys->set_fault_hook(&*run.plan));
 
-  BatchEngine engine(*run.sys, BatchOptions{.workers = workers, .seed = 5});
+  EpochEngine engine(*run.sys, EpochOptions{.workers = workers, .seed = 5});
   std::vector<LocateOp> locates;
   std::vector<RetrieveOp> retrieves;
   for (vsm::ItemId id = 0; id < kItems; id += 2) {
@@ -133,7 +133,7 @@ TEST(TraceDeterminism, DisabledTracerLeavesLogEmpty) {
   // Detach and run another batch: nothing new is recorded.
   const std::size_t before = run.log.spans().size();
   ASSERT_TRUE(run.sys->set_tracer(nullptr));
-  BatchEngine engine(*run.sys, BatchOptions{.workers = 2, .seed = 6});
+  EpochEngine engine(*run.sys, EpochOptions{.workers = 2, .seed = 6});
   std::vector<LocateOp> locates;
   for (vsm::ItemId id = 0; id < kItems; id += 4) {
     locates.push_back(LocateOp{id, &run.vectors[id], {}});

@@ -8,7 +8,7 @@
 /// bit patterns, not an epsilon.
 ///
 /// The ConcurrentQueries test drives the const kernels from several
-/// threads at once against one index — the pattern BatchEngine's parallel
+/// threads at once against one index — the pattern EpochEngine's parallel
 /// read batches produce — and is run under TSan by tools/run_tier1.sh to
 /// prove the thread_local score scratch keeps const queries race-free.
 

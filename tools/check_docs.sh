@@ -1,6 +1,5 @@
 #!/usr/bin/env bash
-# Documentation-coherence gate (companion to check_observability_docs.sh,
-# which walks the opposite direction for the metrics schema). Four checks:
+# Documentation-coherence gate. Five checks:
 #
 #   1. Every BENCH_*.json artifact named in docs/ or README.md has a
 #      committed baseline under tools/baselines/.
@@ -9,13 +8,16 @@
 #      tools/meteo_lint.py's RULES table, and every id RULES defines
 #      is documented in DESIGN.md's rule catalog.
 #   3. Every dotted series token in docs/OBSERVABILITY.md names a real
-#      metric/label string in src/obs/names.hpp (stale-doc direction;
-#      the code->doc direction lives in check_observability_docs.sh).
+#      metric/label string in src/obs/names.hpp (stale-doc direction).
 #   4. Every METEO_ZONE("...") literal in src/ is documented in
 #      docs/PERFORMANCE.md, and every dotted token PERFORMANCE.md
 #      mentions is either a live zone or a live metric name.
+#   5. Every quoted string in src/obs/names.hpp (metric names, label
+#      keys, label values listed in the comments) appears in
+#      docs/OBSERVABILITY.md (code->doc direction of check 3).
 #
-# Run from anywhere; tier-1 (tools/run_tier1.sh) fails on any drift.
+# Run from anywhere; tier-1 (the meteo_check_docs ctest and
+# tools/run_tier1.sh) and CI's docs-coherence step fail on any drift.
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"
@@ -104,10 +106,25 @@ for t in "${perf_tokens[@]}"; do
   fi
 done
 
+# --- 5. observability schema documented --------------------------------------
+# Every "quoted string" in the header, deduplicated: the constant values
+# and the enumerated label values in the doc comments.
+mapfile -t schema_names < <(grep -o '"[^"]\+"' src/obs/names.hpp \
+  | tr -d '"' | sort -u)
+if [[ ${#schema_names[@]} -eq 0 ]]; then
+  problem "extracted no names from src/obs/names.hpp (pattern drift?)"
+fi
+for name in "${schema_names[@]}"; do
+  if ! grep -qF -- "${name}" docs/OBSERVABILITY.md; then
+    problem "'${name}' (src/obs/names.hpp) is not documented in" \
+            "docs/OBSERVABILITY.md"
+  fi
+done
+
 if [[ ${fail} -ne 0 ]]; then
   echo "check_docs: FAILED" >&2
   exit 1
 fi
 echo "check_docs: ok (${#bench_names[@]} benchmark artifacts," \
      "${#rule_ids[@]} lint rules, ${#obs_tokens[@]} series tokens," \
-     "${#zones[@]} zones)"
+     "${#zones[@]} zones, ${#schema_names[@]} schema names)"

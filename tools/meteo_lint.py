@@ -2,10 +2,10 @@
 """meteo-lint: static enforcement of Meteorograph's determinism contract.
 
 The repo's headline guarantee — publish/search results, traces, and
-metric dumps that are bit-identical at any BatchEngine worker count
-(DESIGN.md §7–§9) — is enforced dynamically by oracle tests and golden
-fingerprints. This linter enforces the same contract *statically*, at
-review time, via a small rule catalog (DESIGN.md §10):
+metric dumps that are bit-identical at any engine worker count
+(DESIGN.md §8, §9, §11) — is enforced dynamically by oracle tests and
+golden fingerprints. This linter enforces the same contract
+*statically*, at review time, via a small rule catalog (DESIGN.md §10):
 
   R1  no iteration over std::unordered_map/std::unordered_set in core
       code unless the site carries a
@@ -640,7 +640,7 @@ class TokenEngine:
                 add_violation(
                     report, path, idx + 1, "R4",
                     "thread_local state — worker-count-dependent unless "
-                    "scoped to one op (DESIGN.md §7)")
+                    "scoped to one op (DESIGN.md §11)")
                 continue
             m = STATIC_DECL_RE.match(code)
             if m and self._is_mutable_static(m.group(1)):
