@@ -1,7 +1,6 @@
 #include "common/thread_pool.hpp"
 
 #include <algorithm>
-#include <atomic>
 
 #include "common/assert.hpp"
 
@@ -61,8 +60,10 @@ void ThreadPool::parallel_for_chunked(
       std::min(total, std::max<std::size_t>(1, thread_count() * 4));
   const std::size_t chunk_size = (total + chunks - 1) / chunks;
 
-  const std::size_t launched = (total + chunk_size - 1) / chunk_size;
-  std::atomic<std::size_t> remaining{launched};
+  // `remaining` is guarded by done_mutex: the last job must still hold
+  // the lock when it notifies, or the caller could see 0, return and
+  // destroy done_mutex/done_cv under it.
+  std::size_t remaining = (total + chunk_size - 1) / chunk_size;
   std::exception_ptr first_error;
   std::mutex error_mutex;
   std::mutex done_mutex;
@@ -78,15 +79,13 @@ void ThreadPool::parallel_for_chunked(
         const std::lock_guard lock(error_mutex);
         if (!first_error) first_error = std::current_exception();
       }
-      if (remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        const std::lock_guard lock(done_mutex);
-        done_cv.notify_one();
-      }
+      const std::lock_guard lock(done_mutex);
+      if (--remaining == 0) done_cv.notify_one();
     });
   }
 
   std::unique_lock lock(done_mutex);
-  done_cv.wait(lock, [&] { return remaining.load(std::memory_order_acquire) == 0; });
+  done_cv.wait(lock, [&] { return remaining == 0; });
   if (first_error) std::rethrow_exception(first_error);
 }
 

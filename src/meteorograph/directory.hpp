@@ -13,6 +13,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <unordered_map>
 #include <utility>
@@ -41,57 +42,82 @@ struct DirectoryPointer {
 /// Keyword-indexed container for one node's directory pointers
 /// (DESIGN.md §9). Appends preserve publication order — searches chase
 /// pointers in that order, which the determinism goldens pin down — and
-/// `candidates()` returns, in the same order, the indices of pointers
+/// `candidates()` returns, in the same order, the positions of pointers
 /// carrying a given keyword, so a search probes one bucket instead of
 /// scanning the node's whole directory on every visit.
+///
+/// With version retention off, a removal unlinks the pointer from its
+/// keyword buckets and leaves a *hole* that no epoch sees, so no other
+/// pointer moves; holes are compacted out in one rebuild once they make
+/// up half the store, so a removal costs amortized O(keywords). With
+/// retention on it tombstones the pointer, and `gc()` compacts at the
+/// epoch boundary. Removal finds its pointer through a per-item index of
+/// sequence numbers, which compaction preserves, so that index is never
+/// rebuilt.
 class DirectoryStore {
  public:
   void add(DirectoryPointer pointer) {
-    const std::size_t index = pointers_.size();
+    const std::size_t position = pointers_.size();
     for (const vsm::KeywordId kw : pointer.keywords) {
-      by_keyword_[kw].push_back(index);
+      by_keyword_[kw].push_back(position);
     }
+    by_item_.emplace(pointer.item, next_seq_);
     pointers_.push_back(std::move(pointer));
-    stamps_.push_back(Stamp{write_epoch_, vsm::kEpochNever});
+    stamps_.push_back(Stamp{write_epoch_, vsm::kEpochNever, next_seq_++});
   }
 
-  /// Removes the live pointer for `item` (if present), keeping the
-  /// relative order of the rest. The O(pointers) reindex is confined to
-  /// the withdraw/maintenance path; searches never remove. While version
-  /// retention is armed (DESIGN.md §11) the pointer is tombstoned in
-  /// place instead of erased — bucket indices stay stable for readers
-  /// pinned at an older epoch — and gc() compacts it out at the epoch
-  /// boundary, restoring the exact layout a sequential erase leaves.
+  /// Removes the earliest live pointer for `item` (if present), keeping
+  /// the relative order of the rest. While version retention is armed
+  /// (DESIGN.md §11) the pointer is tombstoned in place — readers pinned
+  /// at an older epoch still see it — and gc() compacts it out at the
+  /// epoch boundary. Otherwise it is unlinked from each of its keyword
+  /// buckets (a binary search apiece: buckets stay sorted by position),
+  /// leaving a hole.
   bool remove(vsm::ItemId item) {
-    for (std::size_t i = 0; i < pointers_.size(); ++i) {
-      if (pointers_[i].item != item) continue;
-      if (stamps_[i].removed != vsm::kEpochNever) continue;  // tombstone
-      if (retain_) {
-        stamps_[i].removed = write_epoch_;
-        ++tombstones_;
-      } else {
-        pointers_.erase(pointers_.begin() + static_cast<std::ptrdiff_t>(i));
-        stamps_.erase(stamps_.begin() + static_cast<std::ptrdiff_t>(i));
-        reindex();
-      }
+    const auto [first, last] = by_item_.equal_range(item);
+    if (first == last) return false;
+    // Equal keys come back in no set order; the earliest pointer has the
+    // least sequence number.
+    const auto earliest =
+        std::min_element(first, last, [](const auto& a, const auto& b) {
+          return a.second < b.second;
+        });
+    const std::size_t p = position_of(earliest->second);
+    by_item_.erase(earliest);
+    if (retain_) {
+      stamps_[p].removed = write_epoch_;
+      ++tombstones_;
       return true;
     }
-    return false;
+    for (const vsm::KeywordId kw : pointers_[p].keywords) {
+      const auto bucket = by_keyword_.find(kw);
+      std::vector<std::size_t>& positions = bucket->second;
+      positions.erase(std::lower_bound(positions.begin(), positions.end(), p));
+      if (positions.empty()) by_keyword_.erase(bucket);
+    }
+    stamps_[p].removed = stamps_[p].added;  // empty lifetime: a hole
+    ++holes_;
+    if (2 * holes_ >= pointers_.size()) compact();
+    return true;
   }
 
-  [[nodiscard]] const std::vector<DirectoryPointer>& all() const noexcept {
-    return pointers_;
+  /// The pointer at `position`, one of the positions `candidates()`
+  /// returns; check `visible_at()` before reading it under a pinned view.
+  [[nodiscard]] const DirectoryPointer& at(std::size_t position) const {
+    return pointers_[position];
   }
   [[nodiscard]] bool empty() const noexcept { return size() == 0; }
   [[nodiscard]] std::size_t size() const noexcept {
-    return pointers_.size() - tombstones_;
+    return pointers_.size() - tombstones_ - holes_;
   }
 
-  /// Is pointers_[index] part of the epoch-`at` view? kEpochLatest means
-  /// "not tombstoned" — which is every pointer while retention is off.
-  [[nodiscard]] bool visible_at(std::size_t index,
+  /// Is the pointer at `position` part of the epoch-`at` view?
+  /// kEpochLatest means "neither tombstoned nor a hole" — which is every
+  /// position `candidates()` returns while retention is off. A hole's
+  /// lifetime is empty, so no epoch sees it.
+  [[nodiscard]] bool visible_at(std::size_t position,
                                 vsm::Epoch at) const noexcept {
-    const Stamp& s = stamps_[index];
+    const Stamp& s = stamps_[position];
     if (at == vsm::kEpochLatest) return s.removed == vsm::kEpochNever;
     return s.added <= at && at < s.removed;
   }
@@ -99,27 +125,14 @@ class DirectoryStore {
   void set_write_epoch(vsm::Epoch e) noexcept { write_epoch_ = e; }
   void retain_versions(bool on) noexcept { retain_ = on; }
 
-  /// Compacts tombstones out. The survivors keep their relative order, so
-  /// the post-gc layout is exactly what sequential one-at-a-time erases
-  /// would have produced.
+  /// Compacts tombstones out, and any holes with them; a store without
+  /// tombstones is left as it is.
   void gc() {
     if (tombstones_ == 0) return;
-    std::size_t w = 0;
-    for (std::size_t i = 0; i < pointers_.size(); ++i) {
-      if (stamps_[i].removed != vsm::kEpochNever) continue;
-      if (w != i) {
-        pointers_[w] = std::move(pointers_[i]);
-        stamps_[w] = stamps_[i];
-      }
-      ++w;
-    }
-    pointers_.resize(w);
-    stamps_.resize(w);
-    tombstones_ = 0;
-    reindex();
+    compact();
   }
 
-  /// Indices (in publication order) of pointers whose keyword list
+  /// Positions (in publication order) of pointers whose keyword list
   /// contains `keyword`; empty when no pointer on this node carries it —
   /// the common case, since pointers for a keyword cluster near the raw
   /// keys of the vectors containing it.
@@ -136,6 +149,7 @@ class DirectoryStore {
   /// guarantees no reader still pins the epoch that could see them.
   [[nodiscard]] std::vector<DirectoryPointer> take_all() {
     by_keyword_.clear();
+    by_item_.clear();
     std::vector<DirectoryPointer> out;
     out.reserve(size());
     for (std::size_t i = 0; i < pointers_.size(); ++i) {
@@ -146,6 +160,7 @@ class DirectoryStore {
     pointers_.clear();
     stamps_.clear();
     tombstones_ = 0;
+    holes_ = 0;
     return out;
   }
 
@@ -153,7 +168,37 @@ class DirectoryStore {
   struct Stamp {
     vsm::Epoch added = 0;
     vsm::Epoch removed = vsm::kEpochNever;
+    /// Per-store publication counter: ascending along pointers_, and kept
+    /// by compaction, so by_item_ never needs a rebuild.
+    std::uint64_t seq = 0;
   };
+
+  [[nodiscard]] std::size_t position_of(std::uint64_t seq) const {
+    const auto it = std::lower_bound(
+        stamps_.begin(), stamps_.end(), seq,
+        [](const Stamp& s, std::uint64_t v) { return s.seq < v; });
+    return static_cast<std::size_t>(it - stamps_.begin());
+  }
+
+  /// Sweeps out tombstones and holes. The survivors keep their relative
+  /// order, so the layout is exactly what sequential one-at-a-time erases
+  /// would have produced.
+  void compact() {
+    std::size_t w = 0;
+    for (std::size_t i = 0; i < pointers_.size(); ++i) {
+      if (stamps_[i].removed != vsm::kEpochNever) continue;
+      if (w != i) {
+        pointers_[w] = std::move(pointers_[i]);
+        stamps_[w] = stamps_[i];
+      }
+      ++w;
+    }
+    pointers_.resize(w);
+    stamps_.resize(w);
+    tombstones_ = 0;
+    holes_ = 0;
+    reindex();
+  }
 
   void reindex() {
     by_keyword_.clear();
@@ -167,7 +212,11 @@ class DirectoryStore {
   std::vector<DirectoryPointer> pointers_;
   std::vector<Stamp> stamps_;  ///< parallel to pointers_
   std::unordered_map<vsm::KeywordId, std::vector<std::size_t>> by_keyword_;
+  /// Sequence numbers of the live pointers, by item.
+  std::unordered_multimap<vsm::ItemId, std::uint64_t> by_item_;
   std::size_t tombstones_ = 0;
+  std::size_t holes_ = 0;
+  std::uint64_t next_seq_ = 0;
   vsm::Epoch write_epoch_ = 0;
   bool retain_ = false;
 };

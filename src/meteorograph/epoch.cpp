@@ -67,6 +67,7 @@ std::size_t EpochEngine::submit(const WithdrawOp& op) { return push(op); }
 std::size_t EpochEngine::submit(const DepartOp& op) { return push(op); }
 
 void EpochEngine::arm_stores(vsm::Epoch write) {
+  METEO_ZONE("epoch.arm");
   armed_ = true;
   for (Meteorograph::NodeData& data : system_.node_data_) {
     data.items.retain_versions(true);
@@ -79,6 +80,7 @@ void EpochEngine::arm_stores(vsm::Epoch write) {
 }
 
 void EpochEngine::gc_stores() {
+  METEO_ZONE("epoch.gc");
   for (Meteorograph::NodeData& data : system_.node_data_) {
     data.items.gc();
     data.replicas.gc();

@@ -163,7 +163,7 @@ SearchResult Meteorograph::search_op(std::span<const vsm::KeywordId> keywords,
     for (const std::size_t pi : data.directory.candidates(query.front())) {
       if (satisfied()) break;
       if (!data.directory.visible_at(pi, view.epoch)) continue;
-      const DirectoryPointer& pointer = data.directory.all()[pi];
+      const DirectoryPointer& pointer = data.directory.at(pi);
       if (!pointer.matches(query) || seen.contains(pointer.item)) continue;
       chase(cur, pointer);
     }
