@@ -15,7 +15,16 @@ namespace meteo::core {
 DepartResult Meteorograph::depart_node(overlay::NodeId node) {
   METEO_EXPECTS(overlay_.is_alive(node));
   METEO_EXPECTS(overlay_.alive_count() > 1);
+  return commit_depart(node);
+}
+
+DepartResult Meteorograph::commit_depart(overlay::NodeId node) {
   begin_operation();
+  // Checked after the due crashes land: one of them may be this node.
+  if (node >= overlay_.size() || !overlay_.is_alive(node) ||
+      overlay_.alive_count() < 2) {
+    return DepartResult{};
+  }
 
   obs::SpanRecorder span;
   if (tracer_ != nullptr) {
@@ -25,6 +34,7 @@ DepartResult Meteorograph::depart_node(overlay::NodeId node) {
   }
 
   DepartResult result;
+  result.departed = true;
   // Take the node's state, then leave the overlay so routing and
   // closest-key decisions already reflect the departure when re-homing.
   NodeData state = std::move(node_data_[node]);

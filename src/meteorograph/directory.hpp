@@ -46,14 +46,15 @@ struct DirectoryPointer {
 /// carrying a given keyword, so a search probes one bucket instead of
 /// scanning the node's whole directory on every visit.
 ///
-/// With version retention off, a removal unlinks the pointer from its
-/// keyword buckets and leaves a *hole* that no epoch sees, so no other
-/// pointer moves; holes are compacted out in one rebuild once they make
-/// up half the store, so a removal costs amortized O(keywords). With
-/// retention on it tombstones the pointer, and `gc()` compacts at the
-/// epoch boundary. Removal finds its pointer through a per-item index of
-/// sequence numbers, which compaction preserves, so that index is never
-/// rebuilt.
+/// A removed pointer is unlinked from its keyword buckets and becomes a
+/// *hole* that no epoch sees, so no other pointer moves; holes are
+/// compacted out in one rebuild once they make up half the store, so a
+/// removal costs amortized O(keywords). With version retention off the
+/// unlink happens in `remove()`. With retention on, `remove()` tombstones
+/// the pointer and records its position, and `gc()` unlinks exactly the
+/// recorded positions at the epoch boundary, in O(tombstones × keywords).
+/// Removal finds its pointer through a per-item index of sequence
+/// numbers, which compaction preserves, so that index is never rebuilt.
 class DirectoryStore {
  public:
   void add(DirectoryPointer pointer) {
@@ -69,9 +70,8 @@ class DirectoryStore {
   /// Removes the earliest live pointer for `item` (if present), keeping
   /// the relative order of the rest. While version retention is armed
   /// (DESIGN.md §11) the pointer is tombstoned in place — readers pinned
-  /// at an older epoch still see it — and gc() compacts it out at the
-  /// epoch boundary. Otherwise it is unlinked from each of its keyword
-  /// buckets (a binary search apiece: buckets stay sorted by position),
+  /// at an older epoch still see it — and its position is recorded for
+  /// gc() to unlink at the epoch boundary. Otherwise it is unlinked now,
   /// leaving a hole.
   bool remove(vsm::ItemId item) {
     const auto [first, last] = by_item_.equal_range(item);
@@ -85,19 +85,14 @@ class DirectoryStore {
     const std::size_t p = position_of(earliest->second);
     by_item_.erase(earliest);
     if (retain_) {
+      // An armed store only appends and tombstones, so `p` stays put
+      // until gc().
       stamps_[p].removed = write_epoch_;
-      ++tombstones_;
+      tombstoned_.push_back(p);
       return true;
     }
-    for (const vsm::KeywordId kw : pointers_[p].keywords) {
-      const auto bucket = by_keyword_.find(kw);
-      std::vector<std::size_t>& positions = bucket->second;
-      positions.erase(std::lower_bound(positions.begin(), positions.end(), p));
-      if (positions.empty()) by_keyword_.erase(bucket);
-    }
-    stamps_[p].removed = stamps_[p].added;  // empty lifetime: a hole
-    ++holes_;
-    if (2 * holes_ >= pointers_.size()) compact();
+    unlink(p);
+    compact_if_half_holes();
     return true;
   }
 
@@ -108,7 +103,7 @@ class DirectoryStore {
   }
   [[nodiscard]] bool empty() const noexcept { return size() == 0; }
   [[nodiscard]] std::size_t size() const noexcept {
-    return pointers_.size() - tombstones_ - holes_;
+    return pointers_.size() - tombstoned_.size() - holes_;
   }
 
   /// Is the pointer at `position` part of the epoch-`at` view?
@@ -125,11 +120,15 @@ class DirectoryStore {
   void set_write_epoch(vsm::Epoch e) noexcept { write_epoch_ = e; }
   void retain_versions(bool on) noexcept { retain_ = on; }
 
-  /// Compacts tombstones out, and any holes with them; a store without
+  /// Turns this window's tombstones into holes, unlinking each from its
+  /// keyword buckets, and compacts once holes are half the store. The
+  /// survivors keep their positions below that threshold; a store without
   /// tombstones is left as it is.
   void gc() {
-    if (tombstones_ == 0) return;
-    compact();
+    if (tombstoned_.empty()) return;
+    for (const std::size_t p : tombstoned_) unlink(p);
+    tombstoned_.clear();
+    compact_if_half_holes();
   }
 
   /// Positions (in publication order) of pointers whose keyword list
@@ -159,7 +158,7 @@ class DirectoryStore {
     }
     pointers_.clear();
     stamps_.clear();
-    tombstones_ = 0;
+    tombstoned_.clear();
     holes_ = 0;
     return out;
   }
@@ -180,9 +179,26 @@ class DirectoryStore {
     return static_cast<std::size_t>(it - stamps_.begin());
   }
 
+  /// Unlinks the pointer at `p` from each of its keyword buckets (a
+  /// binary search apiece: buckets stay sorted by position) and leaves a
+  /// hole.
+  void unlink(std::size_t p) {
+    for (const vsm::KeywordId kw : pointers_[p].keywords) {
+      const auto bucket = by_keyword_.find(kw);
+      std::vector<std::size_t>& positions = bucket->second;
+      positions.erase(std::lower_bound(positions.begin(), positions.end(), p));
+      if (positions.empty()) by_keyword_.erase(bucket);
+    }
+    stamps_[p].removed = stamps_[p].added;  // empty lifetime: a hole
+    ++holes_;
+  }
+
+  void compact_if_half_holes() {
+    if (2 * holes_ >= pointers_.size()) compact();
+  }
+
   /// Sweeps out tombstones and holes. The survivors keep their relative
-  /// order, so the layout is exactly what sequential one-at-a-time erases
-  /// would have produced.
+  /// order, so `candidates()` still returns publication order.
   void compact() {
     std::size_t w = 0;
     for (std::size_t i = 0; i < pointers_.size(); ++i) {
@@ -195,7 +211,7 @@ class DirectoryStore {
     }
     pointers_.resize(w);
     stamps_.resize(w);
-    tombstones_ = 0;
+    tombstoned_.clear();
     holes_ = 0;
     reindex();
   }
@@ -214,7 +230,8 @@ class DirectoryStore {
   std::unordered_map<vsm::KeywordId, std::vector<std::size_t>> by_keyword_;
   /// Sequence numbers of the live pointers, by item.
   std::unordered_multimap<vsm::ItemId, std::uint64_t> by_item_;
-  std::size_t tombstones_ = 0;
+  /// Positions tombstoned while retention is armed, for gc() to unlink.
+  std::vector<std::size_t> tombstoned_;
   std::size_t holes_ = 0;
   std::uint64_t next_seq_ = 0;
   vsm::Epoch write_epoch_ = 0;

@@ -221,7 +221,7 @@ EpochEngine::SealedEpoch EpochEngine::run_window(
           system_.withdraw_with(wdr->item, *wdr->vector, wdr->options, rng);
     } else {
       const auto& dep = std::get<DepartOp>(p.op);
-      sealed.results[i] = system_.depart_node(dep.node);
+      sealed.results[i] = system_.commit_depart(dep.node);
     }
   }
 

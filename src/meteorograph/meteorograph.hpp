@@ -128,6 +128,9 @@ struct SubscribeResult : OpCost, Degradation {
 };
 
 struct DepartResult {
+  /// False for a no-op: by its commit the node was gone (or never
+  /// assigned) or the last one alive, so nothing moved.
+  bool departed = false;
   std::size_t items_transferred = 0;
   std::size_t replicas_transferred = 0;
   std::size_t pointers_transferred = 0;
@@ -479,6 +482,10 @@ class Meteorograph {
                                PublishPlan& plan);
   WithdrawResult withdraw_with(vsm::ItemId id, const vsm::SparseVector& vector,
                                const WithdrawOptions& options, Rng& rng);
+  /// depart_node without its preconditions, for a window's commit: once
+  /// due crashes land, a node that is not alive (or was never assigned)
+  /// or is the last alive node departs as a no-op (`departed` false).
+  DepartResult commit_depart(overlay::NodeId node);
 
   /// Batch bracket around each EpochEngine window: begin applies due
   /// crashes once for the whole window and freezes the membership

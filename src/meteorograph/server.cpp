@@ -31,7 +31,7 @@ bool well_formed(const Server::Request& request, const Meteorograph& system) {
           // lo <= hi is false for a NaN bound too.
           return op.lo <= op.hi && op.attribute < system.attributes().size();
         } else if constexpr (std::is_same_v<Op, DepartOp>) {
-          return true;
+          return op.node < system.network().size();
         } else {
           return usable(op.vector);  // locate, publish, withdraw
         }

@@ -83,10 +83,12 @@ class Server {
   /// Admits a request, FIFO. Returns its ticket, or nullopt when the
   /// queue is at capacity (admission control — the caller backs off) or
   /// the request is malformed: a search with no keywords, a null or
-  /// empty vector or query, a retrieve of amount 0, or a range search
-  /// with lo > hi, a NaN bound, or an unregistered attribute. Departures
-  /// are not checked here: whether a node is alive depends on the
-  /// window's earlier ops.
+  /// empty vector or query, a retrieve of amount 0, a range search with
+  /// lo > hi, a NaN bound, or an unregistered attribute, or a departure
+  /// of a node id the overlay never assigned. Whether a departing node
+  /// is still alive depends on the window's earlier ops and crashes, so
+  /// that is decided at commit: a departure of a dead node, or of the
+  /// last alive one, completes with DepartResult::departed false.
   std::optional<Ticket> submit(Request request);
 
   /// Serves one epoch window: drains up to ops_per_epoch queued requests,

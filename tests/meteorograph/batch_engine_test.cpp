@@ -2,10 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <numeric>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "obs/export.hpp"
 #include "sim/fault_plan.hpp"
 #include "workload/trace.hpp"
@@ -272,6 +276,122 @@ TEST(BatchEngine, WithdrawBatchRemovesItems) {
     EXPECT_TRUE(results[i].removed) << "op " << i;
   }
   EXPECT_EQ(sys.stored_item_count(), wl.vectors.size() - ops.size());
+}
+
+// A facade withdraw unlinks its directory pointer at once; a sealed
+// window's withdraw tombstones it and the seal's gc() unlinks it, leaving
+// holes at other positions and compacting at other moments. Searches must
+// not tell the two layouts apart. Reads get windows of their own: a
+// sealed read sees the epoch before its window's writes.
+TEST(BatchEngine, WithdrawHeavySealedWindowsMatchFacade) {
+  const TestWorkload wl = make_workload(320, 22);
+  const vsm::ItemId preloaded = 240;  // the rest publish inside windows
+  Meteorograph facade_sys(small_config(32), wl.sample, 22);
+  Meteorograph engine_sys(small_config(32), wl.sample, 22);
+  // Pinning `from` keeps every op's result off the RNG streams, which the
+  // facade shares and the engine splits per op.
+  const overlay::NodeId source = 0;
+  for (vsm::ItemId id = 0; id < preloaded; ++id) {
+    for (Meteorograph* sys : {&facade_sys, &engine_sys}) {
+      ASSERT_TRUE(sys->publish(id, wl.vectors[id], {.from = source}).success);
+    }
+  }
+
+  // Fault-free, a pointer lives on the node closest to its raw key.
+  auto pointer_home = [&](vsm::ItemId id) {
+    return facade_sys.network().closest_alive(
+        facade_sys.raw_key(wl.vectors[id]));
+  };
+  std::map<overlay::NodeId, std::size_t> pointers;
+  for (vsm::ItemId id = 0; id < preloaded; ++id) ++pointers[pointer_home(id)];
+  const overlay::NodeId busiest =
+      std::max_element(pointers.begin(), pointers.end(),
+                       [](const auto& a, const auto& b) {
+                         return a.second < b.second;
+                       })
+          ->first;
+  std::size_t added_there = pointers[busiest];
+  std::size_t withdrawn_there = 0;
+
+  std::vector<std::vector<vsm::KeywordId>> queries;
+  for (vsm::ItemId id = 0; id < wl.vectors.size(); id += 20) {
+    queries.push_back({wl.vectors[id].entries()[0].keyword});
+  }
+  std::vector<SearchOp> searches;
+  for (const std::vector<vsm::KeywordId>& q : queries) {
+    searches.push_back(SearchOp{q, 4, {.from = source}});
+    searches.push_back(SearchOp{q, 0, {.from = source}});  // discover-all
+  }
+
+  struct Write {
+    bool publish = false;
+    vsm::ItemId id = 0;
+  };
+  EpochEngine engine(engine_sys, {.workers = 2, .seed = 9});
+  Rng rng(22);
+  std::vector<vsm::ItemId> live(preloaded);
+  std::iota(live.begin(), live.end(), vsm::ItemId{0});
+  vsm::ItemId fresh = preloaded;
+  // Until over half the busiest node's pointers are gone, which makes a
+  // seal's gc() compact it under retention at least once.
+  for (std::size_t window = 0; 2 * withdrawn_there <= added_there; ++window) {
+    ASSERT_LT(window, 60u) << "the busiest node never lost half its pointers";
+    SCOPED_TRACE(window);
+    std::vector<Write> writes;
+    for (std::size_t i = 0; i < 12 && !live.empty(); ++i) {
+      if (fresh < wl.vectors.size() && rng.chance(0.25)) {
+        writes.push_back({true, fresh});
+        live.push_back(fresh++);
+      } else {
+        const std::size_t pick = rng.below(live.size());
+        writes.push_back({false, live[pick]});
+        live[pick] = live.back();
+        live.pop_back();
+      }
+    }
+    for (const Write& w : writes) {
+      const vsm::SparseVector* v = &wl.vectors[w.id];
+      if (w.publish) {
+        engine.submit(PublishOp{w.id, v, {.from = source}});
+      } else {
+        engine.submit(WithdrawOp{w.id, v, {.from = source}});
+      }
+    }
+    const EpochEngine::SealedEpoch written = engine.seal();
+    ASSERT_EQ(written.results.size(), writes.size());
+    for (std::size_t i = 0; i < writes.size(); ++i) {
+      const vsm::ItemId id = writes[i].id;
+      if (writes[i].publish) {
+        expect_equal(std::get<PublishResult>(written.results[i]),
+                     facade_sys.publish(id, wl.vectors[id], {.from = source}),
+                     i);
+        if (pointer_home(id) == busiest) ++added_there;
+        continue;
+      }
+      const auto& got = std::get<WithdrawResult>(written.results[i]);
+      const WithdrawResult want =
+          facade_sys.withdraw(id, wl.vectors[id], {.from = source});
+      EXPECT_EQ(got.removed, want.removed) << "op " << i;
+      EXPECT_EQ(got.replicas_removed, want.replicas_removed) << "op " << i;
+      EXPECT_EQ(got.pointer_removed, want.pointer_removed) << "op " << i;
+      EXPECT_EQ(got.messages, want.messages) << "op " << i;
+      if (got.pointer_removed && pointer_home(id) == busiest) {
+        ++withdrawn_there;
+      }
+    }
+
+    for (const SearchOp& op : searches) engine.submit(op);
+    const EpochEngine::SealedEpoch read = engine.seal();
+    ASSERT_EQ(read.results.size(), searches.size());
+    for (std::size_t i = 0; i < searches.size(); ++i) {
+      const auto& got = std::get<SearchResult>(read.results[i]);
+      const SearchResult want = facade_sys.similarity_search(
+          searches[i].keywords, searches[i].k, searches[i].options);
+      expect_equal(got, want, i);
+      EXPECT_EQ(got.lookup_messages, want.lookup_messages) << "op " << i;
+      EXPECT_EQ(got.nodes_visited, want.nodes_visited) << "op " << i;
+    }
+  }
 }
 
 // --- typed calls: repeatable, epoch-neutral, one window --------------------

@@ -3,6 +3,7 @@
 #include <set>
 #include <vector>
 
+#include "meteorograph/epoch.hpp"
 #include "meteorograph/meteorograph.hpp"
 #include "obs/names.hpp"
 #include "workload/trace.hpp"
@@ -39,6 +40,28 @@ struct DepartFixture : ::testing::Test {
   std::vector<vsm::SparseVector> vectors_;
   std::optional<Meteorograph> sys_;
 };
+
+// A window cannot check a departure up front: an id the overlay never
+// assigned, or the last alive node, departs as a no-op instead of
+// tripping depart_node's preconditions.
+TEST_F(DepartFixture, WindowDepartsOfUnknownOrLastNodeAreNoOps) {
+  const std::vector<overlay::NodeId> nodes = sys_->network().alive_nodes();
+  EpochEngine engine(*sys_, {.workers = 1});
+  engine.submit(DepartOp{});
+  for (const overlay::NodeId node : nodes) engine.submit(DepartOp{node});
+  const EpochEngine::SealedEpoch sealed = engine.seal();
+  ASSERT_EQ(sealed.results.size(), nodes.size() + 1);
+  for (std::size_t i = 0; i < sealed.results.size(); ++i) {
+    const auto& r = std::get<DepartResult>(sealed.results[i]);
+    const bool noop = i == 0 || i == nodes.size();  // unknown id, last node
+    EXPECT_EQ(r.departed, !noop) << "op " << i;
+    if (noop) {
+      EXPECT_EQ(r.messages, 0u) << "op " << i;
+    }
+  }
+  EXPECT_EQ(sys_->network().alive_count(), 1u);
+  EXPECT_TRUE(sys_->network().is_alive(nodes.back()));
+}
 
 TEST_F(DepartFixture, NoItemLostAfterDeparture) {
   const std::size_t before = sys_->stored_item_count();

@@ -313,5 +313,53 @@ TEST(DirectoryStore, CompactsHolesOnceTheyReachHalf) {
   EXPECT_EQ(store.size(), 5u);
 }
 
+/// Arms retention for the window that commits into epoch `write`.
+void arm(DirectoryStore& store, vsm::Epoch write) {
+  store.retain_versions(true);
+  store.set_write_epoch(write);
+}
+
+// A retained window's gc() unlinks its tombstones and leaves holes in
+// their place, under the same threshold as a retention-off removal: the
+// survivors keep their positions until holes are half the store.
+TEST(DirectoryStore, RetainedGcUnlinksWithoutCompacting) {
+  DirectoryStore store;
+  for (vsm::ItemId item = 0; item < 10; ++item) {
+    store.add(DirectoryPointer{item, item, {1}});
+  }
+  arm(store, 1);
+  for (vsm::ItemId item = 0; item < 4; ++item) ASSERT_TRUE(store.remove(item));
+  // Tombstones stay linked until the epoch boundary.
+  EXPECT_EQ(positions(store, 1).size(), 10u);
+  store.gc();
+  EXPECT_EQ(positions(store, 1), (std::vector<std::size_t>{4, 5, 6, 7, 8, 9}));
+  EXPECT_EQ(store.size(), 6u);
+  // The next window's fifth removal makes half at its gc: one compaction.
+  arm(store, 2);
+  ASSERT_TRUE(store.remove(4));
+  store.gc();
+  EXPECT_EQ(positions(store, 1), (std::vector<std::size_t>{0, 1, 2, 3, 4}));
+  EXPECT_EQ(store.at(0).item, 5u);
+  EXPECT_EQ(store.size(), 5u);
+
+  // Holes left with retention off count toward the same threshold.
+  DirectoryStore mixed;
+  for (vsm::ItemId item = 0; item < 10; ++item) {
+    mixed.add(DirectoryPointer{item, item, {1}});
+  }
+  for (vsm::ItemId item = 0; item < 3; ++item) ASSERT_TRUE(mixed.remove(item));
+  arm(mixed, 1);
+  ASSERT_TRUE(mixed.remove(3));
+  mixed.gc();
+  EXPECT_EQ(positions(mixed, 1), (std::vector<std::size_t>{4, 5, 6, 7, 8, 9}));
+  arm(mixed, 2);
+  ASSERT_TRUE(mixed.remove(4));
+  EXPECT_EQ(positions(mixed, 1), (std::vector<std::size_t>{4, 5, 6, 7, 8, 9}));
+  mixed.gc();
+  EXPECT_EQ(positions(mixed, 1), (std::vector<std::size_t>{0, 1, 2, 3, 4}));
+  EXPECT_EQ(mixed.at(0).item, 5u);
+  EXPECT_EQ(mixed.size(), 5u);
+}
+
 }  // namespace
 }  // namespace meteo::core

@@ -138,5 +138,51 @@ TEST(ServerAdmission, MalformedAndQueueFullAreCountedApart) {
   EXPECT_EQ(sys.stored_item_count(), 2u);
 }
 
+// A departure names a node that may be gone by the time its window
+// commits: an earlier depart in the window or a crash took it. That is a
+// no-op, not a precondition failure; an id the overlay never assigned is
+// refused at admission.
+TEST(ServerAdmission, DepartOfDeadOrUnknownNodeIsRefusedNotFatal) {
+  const Fixture f = make_fixture(40, 33);
+  Meteorograph sys(small_config(), f.sample, 33);
+  for (vsm::ItemId id = 0; id < f.vectors.size(); ++id) {
+    ASSERT_TRUE(sys.publish(id, f.vectors[id]).success);
+  }
+  Server server(sys, {.queue_capacity = 8, .ops_per_epoch = 8, .workers = 1,
+                      .seed = 7, .deadline_seconds = 0.0});
+  const auto unassigned = static_cast<overlay::NodeId>(sys.network().size());
+  EXPECT_FALSE(server.submit(DepartOp{}).has_value());
+  EXPECT_FALSE(server.submit(DepartOp{unassigned}).has_value());
+  EXPECT_EQ(server.invalid(), 2u);
+
+  overlay::NodeId twice = 0;  // the first node with items to hand off
+  while (sys.store_of(twice).size() == 0) ++twice;
+  const overlay::NodeId crashed = twice + 1;
+  ASSERT_TRUE(server.submit(DepartOp{twice}).has_value());
+  ASSERT_TRUE(server.submit(DepartOp{twice}).has_value());
+  ASSERT_TRUE(server.submit(DepartOp{crashed}).has_value());
+  sys.network().fail(crashed);
+
+  std::vector<DepartResult> done;
+  EXPECT_EQ(server.pump([&](const Server::Completion& c) {
+              done.push_back(std::get<DepartResult>(c.result));
+            }),
+            3u);
+  ASSERT_EQ(done.size(), 3u);
+  EXPECT_TRUE(done[0].departed);
+  EXPECT_GT(done[0].items_transferred, 0u);
+  for (std::size_t i = 1; i < done.size(); ++i) {
+    EXPECT_FALSE(done[i].departed) << "request " << i;
+    EXPECT_EQ(done[i].items_transferred + done[i].replicas_transferred +
+                  done[i].pointers_transferred,
+              0u)
+        << "request " << i;
+    EXPECT_EQ(done[i].messages, 0u) << "request " << i;
+  }
+  EXPECT_FALSE(sys.network().is_alive(twice));
+  EXPECT_EQ(sys.network().alive_count(), small_config().node_count - 2);
+  EXPECT_EQ(server.served(), 3u);
+}
+
 }  // namespace
 }  // namespace meteo::core
