@@ -2,17 +2,15 @@
 
 /// \file api.hpp
 /// The cross-cutting operation API vocabulary: the OpCost/Degradation
-/// result bases every op result inherits, the per-operation options
-/// structs (built for designated initializers), and the ReadView epoch
-/// selector. The facade header (meteorograph.hpp) documents the facade;
-/// this header is what op result structs, the batch/epoch engines, and
-/// benches actually share.
+/// result bases every op result inherits and the per-operation options
+/// structs (built for designated initializers). The facade header
+/// (meteorograph.hpp) documents the facade; this header is what op result
+/// structs, the epoch engine, and benches actually share.
 
 #include <cstddef>
 #include <optional>
 
 #include "overlay/key_space.hpp"
-#include "vsm/types.hpp"
 
 namespace meteo::core {
 
@@ -81,14 +79,6 @@ struct RangeSearchOptions {
 
 struct SubscribeOptions {
   std::size_t horizon = 8;  ///< consecutive directory nodes to plant on
-};
-
-/// Which epoch a read core answers from (DESIGN.md §11). The default —
-/// kEpochLatest — reads the live state and is byte-identical to the
-/// pre-epoch code path; the EpochEngine pins its deferred readers at
-/// the epoch the current commits are about to supersede.
-struct ReadView {
-  vsm::Epoch epoch = vsm::kEpochLatest;
 };
 
 }  // namespace meteo::core

@@ -46,15 +46,12 @@ struct DirectoryPointer {
 /// carrying a given keyword, so a search probes one bucket instead of
 /// scanning the node's whole directory on every visit.
 ///
-/// A removed pointer is unlinked from its keyword buckets and becomes a
-/// *hole* that no epoch sees, so no other pointer moves; holes are
-/// compacted out in one rebuild once they make up half the store, so a
-/// removal costs amortized O(keywords). With version retention off the
-/// unlink happens in `remove()`. With retention on, `remove()` tombstones
-/// the pointer and records its position, and `gc()` unlinks exactly the
-/// recorded positions at the epoch boundary, in O(tombstones × keywords).
-/// Removal finds its pointer through a per-item index of sequence
-/// numbers, which compaction preserves, so that index is never rebuilt.
+/// `remove()` unlinks a pointer from its keyword buckets and leaves a
+/// *hole*, so no other pointer moves; holes are compacted out in one
+/// rebuild once they make up half the store, so a removal costs
+/// amortized O(keywords). Removal finds its pointer through a per-item
+/// index of sequence numbers, which compaction preserves, so that index
+/// is never rebuilt.
 class DirectoryStore {
  public:
   void add(DirectoryPointer pointer) {
@@ -64,15 +61,11 @@ class DirectoryStore {
     }
     by_item_.emplace(pointer.item, next_seq_);
     pointers_.push_back(std::move(pointer));
-    stamps_.push_back(Stamp{write_epoch_, vsm::kEpochNever, next_seq_++});
+    stamps_.push_back(Stamp{next_seq_++, false});
   }
 
-  /// Removes the earliest live pointer for `item` (if present), keeping
-  /// the relative order of the rest. While version retention is armed
-  /// (DESIGN.md §11) the pointer is tombstoned in place — readers pinned
-  /// at an older epoch still see it — and its position is recorded for
-  /// gc() to unlink at the epoch boundary. Otherwise it is unlinked now,
-  /// leaving a hole.
+  /// Removes the earliest pointer for `item` (if present) by unlinking it,
+  /// which leaves a hole; the rest keep their relative order.
   bool remove(vsm::ItemId item) {
     const auto [first, last] = by_item_.equal_range(item);
     if (first == last) return false;
@@ -84,57 +77,25 @@ class DirectoryStore {
         });
     const std::size_t p = position_of(earliest->second);
     by_item_.erase(earliest);
-    if (retain_) {
-      // An armed store only appends and tombstones, so `p` stays put
-      // until gc().
-      stamps_[p].removed = write_epoch_;
-      tombstoned_.push_back(p);
-      return true;
-    }
     unlink(p);
     compact_if_half_holes();
     return true;
   }
 
   /// The pointer at `position`, one of the positions `candidates()`
-  /// returns; check `visible_at()` before reading it under a pinned view.
+  /// returns.
   [[nodiscard]] const DirectoryPointer& at(std::size_t position) const {
     return pointers_[position];
   }
   [[nodiscard]] bool empty() const noexcept { return size() == 0; }
   [[nodiscard]] std::size_t size() const noexcept {
-    return pointers_.size() - tombstoned_.size() - holes_;
-  }
-
-  /// Is the pointer at `position` part of the epoch-`at` view?
-  /// kEpochLatest means "neither tombstoned nor a hole" — which is every
-  /// position `candidates()` returns while retention is off. A hole's
-  /// lifetime is empty, so no epoch sees it.
-  [[nodiscard]] bool visible_at(std::size_t position,
-                                vsm::Epoch at) const noexcept {
-    const Stamp& s = stamps_[position];
-    if (at == vsm::kEpochLatest) return s.removed == vsm::kEpochNever;
-    return s.added <= at && at < s.removed;
-  }
-
-  void set_write_epoch(vsm::Epoch e) noexcept { write_epoch_ = e; }
-  void retain_versions(bool on) noexcept { retain_ = on; }
-
-  /// Turns this window's tombstones into holes, unlinking each from its
-  /// keyword buckets, and compacts once holes are half the store. The
-  /// survivors keep their positions below that threshold; a store without
-  /// tombstones is left as it is.
-  void gc() {
-    if (tombstoned_.empty()) return;
-    for (const std::size_t p : tombstoned_) unlink(p);
-    tombstoned_.clear();
-    compact_if_half_holes();
+    return pointers_.size() - holes_;
   }
 
   /// Positions (in publication order) of pointers whose keyword list
-  /// contains `keyword`; empty when no pointer on this node carries it —
-  /// the common case, since pointers for a keyword cluster near the raw
-  /// keys of the vectors containing it.
+  /// contains `keyword`, never a hole; empty when no pointer on this node
+  /// carries it — the common case, since pointers for a keyword cluster
+  /// near the raw keys of the vectors containing it.
   [[nodiscard]] std::span<const std::size_t> candidates(
       vsm::KeywordId keyword) const {
     const auto it = by_keyword_.find(keyword);
@@ -142,34 +103,29 @@ class DirectoryStore {
     return it->second;
   }
 
-  /// Moves every live pointer out (handing off to surviving nodes on
-  /// depart), leaving the store empty. Tombstoned pointers are dropped:
-  /// their items were withdrawn this epoch, and the depart fence
-  /// guarantees no reader still pins the epoch that could see them.
+  /// Moves every pointer out (handing off to surviving nodes on depart)
+  /// in publication order, leaving the store empty.
   [[nodiscard]] std::vector<DirectoryPointer> take_all() {
     by_keyword_.clear();
     by_item_.clear();
     std::vector<DirectoryPointer> out;
     out.reserve(size());
     for (std::size_t i = 0; i < pointers_.size(); ++i) {
-      if (stamps_[i].removed == vsm::kEpochNever) {
-        out.push_back(std::move(pointers_[i]));
-      }
+      if (!stamps_[i].hole) out.push_back(std::move(pointers_[i]));
     }
     pointers_.clear();
     stamps_.clear();
-    tombstoned_.clear();
     holes_ = 0;
     return out;
   }
 
  private:
   struct Stamp {
-    vsm::Epoch added = 0;
-    vsm::Epoch removed = vsm::kEpochNever;
     /// Per-store publication counter: ascending along pointers_, and kept
     /// by compaction, so by_item_ never needs a rebuild.
     std::uint64_t seq = 0;
+    /// Unlinked by remove(): no keyword bucket lists the position.
+    bool hole = false;
   };
 
   [[nodiscard]] std::size_t position_of(std::uint64_t seq) const {
@@ -189,7 +145,7 @@ class DirectoryStore {
       positions.erase(std::lower_bound(positions.begin(), positions.end(), p));
       if (positions.empty()) by_keyword_.erase(bucket);
     }
-    stamps_[p].removed = stamps_[p].added;  // empty lifetime: a hole
+    stamps_[p].hole = true;
     ++holes_;
   }
 
@@ -197,12 +153,12 @@ class DirectoryStore {
     if (2 * holes_ >= pointers_.size()) compact();
   }
 
-  /// Sweeps out tombstones and holes. The survivors keep their relative
-  /// order, so `candidates()` still returns publication order.
+  /// Sweeps out the holes. The survivors keep their relative order, so
+  /// `candidates()` still returns publication order.
   void compact() {
     std::size_t w = 0;
     for (std::size_t i = 0; i < pointers_.size(); ++i) {
-      if (stamps_[i].removed != vsm::kEpochNever) continue;
+      if (stamps_[i].hole) continue;
       if (w != i) {
         pointers_[w] = std::move(pointers_[i]);
         stamps_[w] = stamps_[i];
@@ -211,7 +167,6 @@ class DirectoryStore {
     }
     pointers_.resize(w);
     stamps_.resize(w);
-    tombstoned_.clear();
     holes_ = 0;
     reindex();
   }
@@ -228,14 +183,10 @@ class DirectoryStore {
   std::vector<DirectoryPointer> pointers_;
   std::vector<Stamp> stamps_;  ///< parallel to pointers_
   std::unordered_map<vsm::KeywordId, std::vector<std::size_t>> by_keyword_;
-  /// Sequence numbers of the live pointers, by item.
+  /// Sequence numbers of the stored pointers, by item.
   std::unordered_multimap<vsm::ItemId, std::uint64_t> by_item_;
-  /// Positions tombstoned while retention is armed, for gc() to unlink.
-  std::vector<std::size_t> tombstoned_;
   std::size_t holes_ = 0;
   std::uint64_t next_seq_ = 0;
-  vsm::Epoch write_epoch_ = 0;
-  bool retain_ = false;
 };
 
 }  // namespace meteo::core

@@ -5,31 +5,28 @@
 ///
 /// An EpochEngine runs operations in windows, and every window executes
 /// the same way: read operations (retrieve, locate, similarity_search,
-/// range_search) run in parallel across a thread pool; mutating
-/// operations (publish, withdraw, depart) commit strictly sequentially
-/// in window order; then metrics and traces fold in one canonical order
-/// — writes in window order (inline with their commits), then reads in
-/// window order. Every operation draws from its own splitmix64 RNG
-/// substream and, when the attached fault hook supports per-operation
-/// fate scopes, its own message-fault substream, so results, system
-/// state, trace dumps and metric exports are bit-identical at any worker
-/// count. The sequential-replay oracle is simply `workers = 1`.
+/// range_search) run in parallel across a thread pool, all of them
+/// before the first write; mutating operations (publish, withdraw,
+/// depart) then commit strictly sequentially in window order; then
+/// metrics and traces fold in one canonical order — writes in window
+/// order (inline with their commits), then reads in window order. Every
+/// operation draws from its own splitmix64 RNG substream and, when the
+/// attached fault hook supports per-operation fate scopes, its own
+/// message-fault substream, so results, system state, trace dumps and
+/// metric exports are bit-identical at any worker count. The
+/// sequential-replay oracle is simply `workers = 1`.
 ///
 /// A window comes in through one of two entry points:
 ///
-///   * submit() then seal() — a mixed window run as one epoch E. Reads
-///     execute against the *pinned* epoch-E view; writes commit into
-///     epoch E+1 — every store mutation is stamped E+1 and the displaced
-///     version is retained so pinned readers still see it. Reads may be
-///     deferred past the write phase (the `defer_read` hook): they then
-///     execute after the commits yet still observe exactly epoch E,
-///     byte-identically to running before them. Substreams are keyed by
-///     the op's global submission index.
+///   * submit() then seal() — a mixed window run as one epoch E. Its
+///     reads observe epoch E wherever they sit in submission order,
+///     because all of them run before the first write; its writes commit
+///     into epoch E+1. Substreams are keyed by the op's global submission
+///     index.
 ///   * the typed calls (locate, retrieve, similarity_search, publish,
-///     withdraw) — one homogeneous window run at once against the live
-///     stores. Substreams are keyed by the op's index in the call; no
-///     version is retained, the epoch does not advance, and spans carry
-///     epoch 0.
+///     withdraw) — one homogeneous window run at once. Substreams are
+///     keyed by the op's index in the call; the epoch does not advance,
+///     and spans carry epoch 0.
 ///
 /// Op structs borrow their vectors (non-owning pointers/spans): the
 /// caller keeps the workload alive until the call or the seal() that
@@ -43,7 +40,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <span>
 #include <variant>
@@ -106,10 +102,11 @@ struct EpochOptions {
   /// Root of every per-operation RNG/fault substream. Two engines with
   /// the same seed over identical systems produce identical windows.
   std::uint64_t seed = 0x6d657465'6f726f67ULL;
-  /// Interleaving seam: return true to defer the read with this global
-  /// op index past the epoch's write phase (it still observes epoch E).
-  /// Null defers nothing. Mutating ops and typed calls ignore it.
-  std::function<bool(std::size_t)> defer_read = nullptr;
+  /// Unused: reads always run before the window's writes. Only nullptr
+  /// fits, so `.defer_read = {}` still compiles and a hook does not. It
+  /// goes with the BatchEngine/BatchOptions aliases below once the
+  /// benchmark sources stop spelling it.
+  std::nullptr_t defer_read = nullptr;
 };
 
 class EpochEngine {
@@ -120,7 +117,7 @@ class EpochEngine {
                    DepartResult>;
 
   struct SealedEpoch {
-    /// The epoch the reads pinned; writes committed into `epoch + 1`.
+    /// The epoch the reads observed; writes committed into `epoch + 1`.
     vsm::Epoch epoch = 0;
     /// Per-op results, parallel to submission order within the window.
     std::vector<OpResult> results;
@@ -131,16 +128,11 @@ class EpochEngine {
   };
 
   /// Binds to `system` for the engine's lifetime (non-owning). The pool
-  /// is created once here, not per window. The LSI ranking mode mutates
-  /// a per-node projection cache under reads, so it cannot serve pinned
-  /// snapshots or parallel readers.
+  /// is created once here, not per window. The LSI ranking mode fills a
+  /// per-node projection cache under reads, so it cannot serve parallel
+  /// readers.
   /// \pre config.local_ranking != kLsi
   explicit EpochEngine(Meteorograph& system, EpochOptions options = {});
-
-  /// Once a seal() has armed version retention, disarms it and drops
-  /// retained versions, returning the system to plain facade behavior.
-  /// An engine that never sealed leaves the stores untouched.
-  ~EpochEngine();
 
   EpochEngine(const EpochEngine&) = delete;
   EpochEngine& operator=(const EpochEngine&) = delete;
@@ -172,7 +164,7 @@ class EpochEngine {
     return pending_.size();
   }
 
-  /// The epoch the next seal()'s reads will pin.
+  /// The epoch the next seal()'s reads will observe.
   [[nodiscard]] vsm::Epoch epoch() const noexcept { return epoch_; }
 
   /// Configured worker count after the 0 = hardware default resolved.
@@ -218,11 +210,11 @@ class EpochEngine {
 
   std::size_t push(AnyOp op);
 
-  /// The window executor behind both entry points. With `pinned` set it
-  /// runs seal()'s epoch window: reads observe epoch *pinned, writes
-  /// commit into *pinned + 1 under armed retention, spans carry those
-  /// epochs, and defer_read applies. Without, it runs a typed call's
-  /// window against the live stores. Fills results and timeout_costs.
+  /// The window executor behind both entry points: reads, then writes,
+  /// then the fold. With `pinned` set it runs seal()'s epoch window, and
+  /// spans carry *pinned (reads) and *pinned + 1 (writes); without, a
+  /// typed call's window, whose spans carry epoch 0. Fills results and
+  /// timeout_costs.
   SealedEpoch run_window(std::span<const Pending> window,
                          std::optional<vsm::Epoch> pinned);
 
@@ -230,26 +222,19 @@ class EpochEngine {
   template <typename Result, typename Op>
   std::vector<Result> run_call(std::span<const Op> ops);
 
-  /// Arms every node store: retain versions, stamp mutations `write`.
-  void arm_stores(vsm::Epoch write);
-  /// Drops retired versions on every node store (epoch boundary).
-  void gc_stores();
-  /// Disarms retention everywhere (destructor path).
-  void disarm_stores();
-
   Meteorograph& system_;
   EpochOptions options_;
   std::optional<ThreadPool> pool_;  // engaged only when workers > 1
   std::vector<Pending> pending_;
   vsm::Epoch epoch_ = 0;
   std::uint64_t next_global_ = 0;
-  bool armed_ = false;  ///< arm_stores() ran: the destructor disarms
   std::optional<obs::Gauge> epoch_gauge_;
   std::optional<obs::Counter> epoch_advances_;
 };
 
 /// The names the benchmark sources (perfbench/) use for the engine and
-/// its options when they drive the typed calls.
+/// its options when they drive the typed calls. They go, with
+/// EpochOptions::defer_read, once those sources use the engine's names.
 using BatchEngine = EpochEngine;
 using BatchOptions = EpochOptions;
 

@@ -61,8 +61,8 @@
 
 namespace meteo::core {
 
-// OpCost/Degradation (the result bases below), outcome_label, ReadView,
-// and the per-op options structs live in meteorograph/api.hpp.
+// OpCost/Degradation (the result bases below), outcome_label, and the
+// per-op options structs live in meteorograph/api.hpp.
 
 struct PublishResult : OpCost, Degradation {
   bool success = false;
@@ -345,12 +345,10 @@ class Meteorograph {
 
   struct NodeData {
     AngleStore items;
-    /// Ordered by id: retrieve harvests replicas under a result budget
-    /// and depart re-homes them, so iteration order is result-visible
-    /// (meteo-lint R1 — hash order may not feed results). ReplicaStore
-    /// iterates like the std::map it replaced and adds the epoch-stamped
-    /// view the EpochEngine's pinned readers need (DESIGN.md §11).
-    ReplicaStore replicas;
+    /// Replica copies (§3.6), ordered by id: retrieve harvests replicas
+    /// under a result budget and depart re-homes them, so iteration order
+    /// is result-visible (meteo-lint R1 — hash order may not feed results).
+    std::map<vsm::ItemId, vsm::SparseVector> replicas;
     DirectoryStore directory;
     /// Range-search records: attribute -> (value -> items), value-sorted.
     std::map<AttributeId, std::multimap<double, vsm::ItemId>> attributes;
@@ -444,18 +442,17 @@ class Meteorograph {
   RetrieveResult retrieve_op(const vsm::SparseVector& query,
                              std::size_t amount,
                              const RetrieveOptions& options, Rng& rng,
-                             OpTrace& trace, ReadView view = {}) const;
+                             OpTrace& trace) const;
   LocateResult locate_op(vsm::ItemId id, const vsm::SparseVector& vector,
                          const LocateOptions& options, Rng& rng,
-                         OpTrace& trace, ReadView view = {}) const;
+                         OpTrace& trace) const;
   SearchResult search_op(std::span<const vsm::KeywordId> keywords,
                          std::size_t k, const SearchOptions& options, Rng& rng,
-                         OpTrace& trace, ReadView view = {}) const;
+                         OpTrace& trace) const;
   RangeSearchResult range_search_op(AttributeId attribute, double lo,
                                     double hi,
                                     const RangeSearchOptions& options,
-                                    Rng& rng, OpTrace& trace,
-                                    ReadView view = {}) const;
+                                    Rng& rng, OpTrace& trace) const;
 
   // Deterministic metric folds — reproduce the exact recording sequence
   // the sequential facade calls would have produced. OpTrace is mutable:

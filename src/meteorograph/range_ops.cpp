@@ -43,12 +43,7 @@ RangePublishResult Meteorograph::publish_attribute(
 
 RangeSearchResult Meteorograph::range_search_op(
     AttributeId attribute, double lo, double hi,
-    const RangeSearchOptions& options, Rng& rng, OpTrace& trace,
-    ReadView /*view*/) const {
-  // Attribute records are unversioned: publish/withdraw commits never
-  // touch them, and the EpochEngine flushes every pinned reader before
-  // the first depart commit of an epoch (DESIGN.md §11), so the live
-  // multimaps below always equal the pinned epoch's state.
+    const RangeSearchOptions& options, Rng& rng, OpTrace& trace) const {
   METEO_EXPECTS(lo <= hi);
 
   RangeSearchResult result;

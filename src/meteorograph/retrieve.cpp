@@ -19,8 +19,7 @@ namespace names = obs::names;
 RetrieveResult Meteorograph::retrieve_op(const vsm::SparseVector& query,
                                          std::size_t amount,
                                          const RetrieveOptions& options,
-                                         Rng& rng, OpTrace& trace,
-                                         ReadView view) const {
+                                         Rng& rng, OpTrace& trace) const {
   METEO_EXPECTS(!query.empty());
   METEO_EXPECTS(amount > 0);
 
@@ -84,11 +83,10 @@ RetrieveResult Meteorograph::retrieve_op(const vsm::SparseVector& query,
       ++result.nodes_visited;
       ++visited;
       if (config_.local_ranking == LocalRanking::kLsi) {
-        // meteo-lint: epoch_ok(EpochEngine's ctor rejects LSI ranking, so live == pinned wherever this branch runs)
         local = data.items.top_k_lsi(query, remaining, config_.lsi_rank,
                                      config_.node_count /*stable seed*/);
       } else {
-        data.items.top_k_at(query, remaining, view.epoch, local);
+        data.items.top_k(query, remaining, local);
       }
       for (const vsm::ScoredItem& hit : local) {
         if (hit.score <= 0.0) continue;  // no (latent) overlap: not a match
@@ -99,18 +97,16 @@ RetrieveResult Meteorograph::retrieve_op(const vsm::SparseVector& query,
       }
       // Replica copies answer too (§3.6 failover: after the primary's host
       // dies, the numerically-closest surviving home serves the item).
-      data.replicas.for_each_at(
-          view.epoch, [&](vsm::ItemId id, const vsm::SparseVector& vector) {
-            if (remaining == 0) return false;
-            if (seen.contains(id)) return true;
-            const double score = vsm::cosine_similarity(query, vector);
-            if (score <= 0.0) return true;
-            seen.insert(id);
-            const AllocProbe::OutputScope output_scope;
-            result.items.push_back(vsm::ScoredItem{id, score});
-            --remaining;
-            return true;
-          });
+      for (const auto& [id, vector] : data.replicas) {
+        if (remaining == 0) break;
+        if (seen.contains(id)) continue;
+        const double score = vsm::cosine_similarity(query, vector);
+        if (score <= 0.0) continue;
+        seen.insert(id);
+        const AllocProbe::OutputScope output_scope;
+        result.items.push_back(vsm::ScoredItem{id, score});
+        --remaining;
+      }
       if (remaining == 0 || visited >= budget) break;
       if (!walk.advance()) break;
     }
@@ -173,7 +169,7 @@ RetrieveResult Meteorograph::retrieve(const vsm::SparseVector& query,
 LocateResult Meteorograph::locate_op(vsm::ItemId id,
                                      const vsm::SparseVector& vector,
                                      const LocateOptions& options, Rng& rng,
-                                     OpTrace& trace, ReadView view) const {
+                                     OpTrace& trace) const {
   METEO_EXPECTS(!vector.empty());
 
   METEO_ZONE("op.locate");
@@ -223,12 +219,12 @@ LocateResult Meteorograph::locate_op(vsm::ItemId id,
       const overlay::NodeId cur = walk.current();
       const NodeData& data = node_data_[cur];
       ++visited;
-      if (data.items.contains_at(id, view.epoch)) {
+      if (data.items.contains(id)) {
         result.found = true;
         result.node = cur;
         break;
       }
-      if (data.replicas.contains_at(id, view.epoch)) {
+      if (data.replicas.contains(id)) {
         result.found = true;
         result.node = cur;
         result.via_replica = true;

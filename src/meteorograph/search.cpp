@@ -27,7 +27,7 @@ constexpr std::size_t kLookupSpillLimit = 16;
 SearchResult Meteorograph::search_op(std::span<const vsm::KeywordId> keywords,
                                      std::size_t k,
                                      const SearchOptions& options, Rng& rng,
-                                     OpTrace& trace, ReadView view) const {
+                                     OpTrace& trace) const {
   METEO_EXPECTS(!keywords.empty());
 
   METEO_ZONE("op.search");
@@ -89,10 +89,10 @@ SearchResult Meteorograph::search_op(std::span<const vsm::KeywordId> keywords,
   auto harvest = [&](overlay::NodeId node) -> std::span<const vsm::ItemId> {
     METEO_ZONE("search.harvest");
     const NodeData& data = node_data_[node];
-    if (data.items.empty_at(view.epoch)) return {};
+    if (data.items.empty()) return {};
     const auto it = harvested.find(node);
     if (it != harvested.end()) return it->second;
-    data.items.match_all_at(query, view.epoch, scratch.harvest);
+    data.items.match_all(query, scratch.harvest);
     // Memoize only nodes that matched: a walk visits thousands of nodes
     // whose stores miss the query entirely, and re-running the index's
     // early-out there is cheaper than churning map entries for them.
@@ -127,8 +127,7 @@ SearchResult Meteorograph::search_op(std::span<const vsm::KeywordId> keywords,
       for (const vsm::ItemId id : harvest(spill.current())) {
         add_item(id, leg.hops + spill.hops());
       }
-      found_target =
-          found_target || data.items.contains_at(pointer.item, view.epoch);
+      found_target = found_target || data.items.contains(pointer.item);
       if (found_target || spill.hops() >= kLookupSpillLimit) break;
       if (!spill.advance()) break;
       ++result.lookup_messages;
@@ -162,7 +161,6 @@ SearchResult Meteorograph::search_op(std::span<const vsm::KeywordId> keywords,
     // publication order, the same relative order the full scan used.
     for (const std::size_t pi : data.directory.candidates(query.front())) {
       if (satisfied()) break;
-      if (!data.directory.visible_at(pi, view.epoch)) continue;
       const DirectoryPointer& pointer = data.directory.at(pi);
       if (!pointer.matches(query) || seen.contains(pointer.item)) continue;
       chase(cur, pointer);

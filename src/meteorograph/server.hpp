@@ -67,7 +67,7 @@ class Server {
 
   struct Completion {
     Ticket ticket = 0;
-    /// The epoch that served the request (reads pinned it; writes
+    /// The epoch that served the request (reads observed it; writes
     /// committed into it + 1).
     vsm::Epoch epoch = 0;
     EpochEngine::OpResult result;

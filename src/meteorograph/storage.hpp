@@ -110,31 +110,6 @@ class AngleStore {
   [[nodiscard]] overlay::Key min_raw_key() const;
   [[nodiscard]] overlay::Key max_raw_key() const;
 
-  // --- epoch-stamped views (DESIGN.md §11) --------------------------------
-  // The key-ordered map and metadata always track the *latest* state (the
-  // write path — evict chains, min/max keys — never reads a pinned view);
-  // only the embedded vector index versions its contents.
-
-  void set_write_epoch(vsm::Epoch e) noexcept { index_.set_write_epoch(e); }
-  void retain_versions(bool on) noexcept { index_.retain_versions(on); }
-  void gc() noexcept { index_.gc(); }
-
-  [[nodiscard]] bool contains_at(vsm::ItemId id,
-                                 vsm::Epoch at) const noexcept {
-    return index_.contains_at(id, at);
-  }
-  [[nodiscard]] bool empty_at(vsm::Epoch at) const noexcept {
-    return index_.empty_at(at);
-  }
-  void top_k_at(const vsm::SparseVector& query, std::size_t k, vsm::Epoch at,
-                std::vector<vsm::ScoredItem>& out) const {
-    index_.top_k_at(query, k, at, out);
-  }
-  void match_all_at(std::span<const vsm::KeywordId> keywords, vsm::Epoch at,
-                    std::vector<vsm::ItemId>& out) const {
-    index_.match_all_at(keywords, at, out);
-  }
-
  private:
   using KeyMap = std::multimap<overlay::Key, vsm::ItemId>;
 
@@ -158,136 +133,6 @@ class AngleStore {
   mutable std::uint64_t lsi_version_ = ~std::uint64_t{0};
   mutable std::size_t lsi_rank_ = 0;
   mutable std::optional<vsm::LsiModel> lsi_model_;
-};
-
-/// Per-node replica copies (§3.6), id-ordered like the std::map it
-/// replaces, with the same epoch-stamped view discipline as the other
-/// stores (DESIGN.md §11): while retention is armed, erases and
-/// overwrites park the displaced copy in a retired sidecar so a reader
-/// pinned at an older epoch still sees it. With the defaults (retain
-/// off, write epoch 0) behavior and iteration order are identical to
-/// the plain map.
-class ReplicaStore {
- public:
-  struct Slot {
-    vsm::SparseVector vector;
-    vsm::Epoch added = 0;
-  };
-
-  /// Inserts or overwrites the copy for `id` (std::map::insert_or_assign).
-  void insert_or_assign(vsm::ItemId id, const vsm::SparseVector& vector) {
-    const auto it = live_.find(id);
-    if (it == live_.end()) {
-      live_.emplace(id, Slot{vector, write_epoch_});
-      return;
-    }
-    retire(id, it->second);
-    it->second = Slot{vector, write_epoch_};
-  }
-
-  /// Inserts only when absent (std::map::emplace). Returns true on insert.
-  bool emplace(vsm::ItemId id, vsm::SparseVector vector) {
-    return live_.emplace(id, Slot{std::move(vector), write_epoch_}).second;
-  }
-
-  /// Removes the copy for `id`; returns the number removed (0 or 1).
-  std::size_t erase(vsm::ItemId id) {
-    const auto it = live_.find(id);
-    if (it == live_.end()) return 0;
-    retire(id, it->second);
-    live_.erase(it);
-    return 1;
-  }
-
-  [[nodiscard]] bool contains(vsm::ItemId id) const {
-    return live_.contains(id);
-  }
-  [[nodiscard]] std::size_t size() const noexcept { return live_.size(); }
-  [[nodiscard]] bool empty() const noexcept { return live_.empty(); }
-
-  /// Latest-state iteration in id order (value type: pair<ItemId, Slot>).
-  [[nodiscard]] auto begin() { return live_.begin(); }
-  [[nodiscard]] auto end() { return live_.end(); }
-  [[nodiscard]] auto begin() const { return live_.begin(); }
-  [[nodiscard]] auto end() const { return live_.end(); }
-
-  void set_write_epoch(vsm::Epoch e) noexcept { write_epoch_ = e; }
-  void retain_versions(bool on) noexcept { retain_ = on; }
-  void gc() noexcept { retired_.clear(); }
-
-  [[nodiscard]] bool contains_at(vsm::ItemId id, vsm::Epoch at) const {
-    if (at == vsm::kEpochLatest) return live_.contains(id);
-    const auto it = live_.find(id);
-    if (it != live_.end() && it->second.added <= at) return true;
-    const auto rit = retired_.find(id);
-    return rit != retired_.end() && visible_version(rit->second, at) != nullptr;
-  }
-
-  /// Id-ordered iteration over the copies visible at epoch `at`;
-  /// `fn(id, vector)` returns false to stop early. At most one version of
-  /// an id is visible (a live slot stamped this epoch hides behind its
-  /// retired predecessor, and vice versa), so the merge yields each id at
-  /// most once — the same sequence the plain map held at epoch `at`.
-  template <typename Fn>
-  void for_each_at(vsm::Epoch at, Fn&& fn) const {
-    if (at == vsm::kEpochLatest) {
-      for (const auto& [id, slot] : live_) {
-        if (!fn(id, slot.vector)) return;
-      }
-      return;
-    }
-    auto lit = live_.begin();
-    auto rit = retired_.begin();
-    while (lit != live_.end() || rit != retired_.end()) {
-      if (rit == retired_.end() ||
-          (lit != live_.end() && lit->first < rit->first)) {
-        if (lit->second.added <= at && !fn(lit->first, lit->second.vector)) {
-          return;
-        }
-        ++lit;
-      } else if (lit == live_.end() || rit->first < lit->first) {
-        if (const vsm::SparseVector* v = visible_version(rit->second, at)) {
-          if (!fn(rit->first, *v)) return;
-        }
-        ++rit;
-      } else {  // same id on both sides: at most one version is visible
-        if (lit->second.added <= at) {
-          if (!fn(lit->first, lit->second.vector)) return;
-        } else if (const vsm::SparseVector* v =
-                       visible_version(rit->second, at)) {
-          if (!fn(rit->first, *v)) return;
-        }
-        ++lit;
-        ++rit;
-      }
-    }
-  }
-
- private:
-  struct RetiredSlot {
-    vsm::SparseVector vector;
-    vsm::Epoch added = 0;
-    vsm::Epoch removed = 0;
-  };
-
-  void retire(vsm::ItemId id, Slot& slot) {
-    if (!retain_) return;
-    retired_[id].push_back(
-        RetiredSlot{std::move(slot.vector), slot.added, write_epoch_});
-  }
-
-  static const vsm::SparseVector* visible_version(
-      const std::vector<RetiredSlot>& versions, vsm::Epoch at) {
-    for (const RetiredSlot& v : versions) {
-      if (v.added <= at && at < v.removed) return &v.vector;
-    }
-    return nullptr;
-  }
-
-  std::map<vsm::ItemId, Slot> live_;
-  std::map<vsm::ItemId, std::vector<RetiredSlot>> retired_;
-  vsm::Epoch write_epoch_ = 0;
-  bool retain_ = false;
 };
 
 }  // namespace meteo::core

@@ -106,8 +106,8 @@ inline constexpr const char* kStoredItems = "system.stored_items";
 
 // ---- epoch engine (DESIGN.md §11) -----------------------------------------
 
-/// The epoch the EpochEngine last sealed (gauge; reads pinned it, writes
-/// committed into it + 1).
+/// The epoch the EpochEngine's next window reads (gauge; the last sealed
+/// window's writes committed into it).
 inline constexpr const char* kEpochCurrent = "epoch.current";
 
 /// Epoch boundaries crossed (one increment per seal()).

@@ -76,8 +76,9 @@ struct Span {
   OpKind op = OpKind::kRetrieve;
   overlay::NodeId source = overlay::kInvalidNode;
   overlay::Key key = 0;  ///< the op's primary key (0 when keyless, e.g. depart)
-  /// Epoch the op executed against (DESIGN.md §11): the pinned read epoch
-  /// for reads, the commit epoch for writes. 0 outside an EpochEngine.
+  /// Epoch the op executed against (DESIGN.md §11): the epoch a sealed
+  /// window's reads observed, the commit epoch for its writes. 0 for
+  /// facade ops and typed engine calls.
   std::uint64_t epoch = 0;
   std::string outcome;   ///< "ok", "partial", "degraded", "blocked", "failed"
   /// Naming-strategy attribute ("range", "lsh"). Empty — and omitted by

@@ -78,35 +78,6 @@ std::size_t entry_index(const SparseVector& vector, KeywordId keyword) {
   return static_cast<std::size_t>(it - entries.begin());
 }
 
-/// Sparse dot of `v` against `query`, accumulated in ascending order of
-/// the *query's* keywords — the exact summation order accumulate() uses
-/// per slot, so a retired item scores bit-identically to its live self.
-double dot_in_query_order(const SparseVector& query, const SparseVector& v) {
-  const auto entries = v.entries();
-  double acc = 0.0;
-  for (const Entry& e : query.entries()) {
-    const auto it = std::lower_bound(
-        entries.begin(), entries.end(), e.keyword,
-        [](const Entry& a, KeywordId k) { return a.keyword < k; });
-    if (it == entries.end() || it->keyword != e.keyword) continue;
-    acc += e.weight * it->weight;
-  }
-  return acc;
-}
-
-/// Does `v` contain every keyword of `keywords`?
-bool contains_all_keywords(const SparseVector& v,
-                           std::span<const KeywordId> keywords) {
-  const auto entries = v.entries();
-  for (const KeywordId kw : keywords) {
-    const auto it = std::lower_bound(
-        entries.begin(), entries.end(), kw,
-        [](const Entry& a, KeywordId k) { return a.keyword < k; });
-    if (it == entries.end() || it->keyword != kw) return false;
-  }
-  return true;
-}
-
 }  // namespace
 
 void LocalIndex::add_postings(std::size_t slot) {
@@ -153,25 +124,16 @@ void LocalIndex::restamp_postings(std::size_t slot) {
   }
 }
 
-void LocalIndex::retire(const StoredItem& item, Epoch added) {
-  if (!retain_) return;
-  retired_.push_back(Retired{StoredItem{item.id, item.vector},
-                             added, write_epoch_});
-}
-
 void LocalIndex::insert(ItemId id, SparseVector vector) {
   METEO_EXPECTS(!vector.empty());
-  if (write_epoch_ > newest_added_) newest_added_ = write_epoch_;
   const auto it = positions_.find(id);
   if (it != positions_.end()) {
     // In-place replace: the old terms' postings must go before the new
     // vector lands, or match_* would keep returning stale matches.
     const std::size_t slot = it->second;
-    retire(items_[slot], added_[slot]);
     remove_postings(slot);
     items_[slot].vector = std::move(vector);
     norms_[slot] = items_[slot].vector.norm();
-    added_[slot] = write_epoch_;
     add_postings(slot);
     return;
   }
@@ -180,12 +142,10 @@ void LocalIndex::insert(ItemId id, SparseVector vector) {
   items_.push_back(StoredItem{id, std::move(vector)});
   norms_.push_back(items_.back().vector.norm());
   posting_pos_.emplace_back();
-  added_.push_back(write_epoch_);
   add_postings(slot);
 }
 
 StoredItem LocalIndex::take_slot(std::size_t slot) {
-  retire(items_[slot], added_[slot]);
   remove_postings(slot);
   StoredItem out = std::move(items_[slot]);
   positions_.erase(out.id);
@@ -194,14 +154,12 @@ StoredItem LocalIndex::take_slot(std::size_t slot) {
     items_[slot] = std::move(items_[last]);
     norms_[slot] = norms_[last];
     posting_pos_[slot] = std::move(posting_pos_[last]);
-    added_[slot] = added_[last];
     positions_[items_[slot].id] = slot;
     restamp_postings(slot);
   }
   items_.pop_back();
   norms_.pop_back();
   posting_pos_.pop_back();
-  added_.pop_back();
   return out;
 }
 
@@ -426,149 +384,6 @@ std::vector<ScoredItem> LocalIndex::within_angle(const SparseVector& query,
   std::vector<ScoredItem> out;
   within_angle(query, tau, out);
   return out;
-}
-
-// --- epoch-stamped kernels (DESIGN.md §11) ---------------------------------
-// Each kernel first checks all_live_at: a store untouched by the current
-// write epoch answers through the plain kernel, so the versioned view only
-// costs on the (few) nodes a commit actually mutated.
-
-bool LocalIndex::contains_at(ItemId id, Epoch at) const noexcept {
-  if (all_live_at(at)) return contains(id);
-  const auto it = positions_.find(id);
-  if (it != positions_.end() && slot_visible_at(it->second, at)) return true;
-  for (const Retired& r : retired_) {
-    if (r.item.id == id && r.added <= at && at < r.removed) return true;
-  }
-  return false;
-}
-
-bool LocalIndex::empty_at(Epoch at) const noexcept {
-  if (all_live_at(at)) return empty();
-  for (std::size_t slot = 0; slot < items_.size(); ++slot) {
-    if (slot_visible_at(slot, at)) return false;
-  }
-  for (const Retired& r : retired_) {
-    if (r.added <= at && at < r.removed) return false;
-  }
-  return true;
-}
-
-void LocalIndex::top_k_at(const SparseVector& query, std::size_t k, Epoch at,
-                          std::vector<ScoredItem>& out) const {
-  if (all_live_at(at)) {
-    top_k(query, k, out);
-    return;
-  }
-  out.clear();
-  // The epoch-`at` store size: visible live slots plus visible retired
-  // versions. At most one version of an id is visible (a live slot whose
-  // id also has a visible retired version was itself stamped this epoch,
-  // hence invisible), so this is an exact item count.
-  std::size_t visible = 0;
-  for (std::size_t slot = 0; slot < items_.size(); ++slot) {
-    if (slot_visible_at(slot, at)) ++visible;
-  }
-  for (const Retired& r : retired_) {
-    if (r.added <= at && at < r.removed) ++visible;
-  }
-  const std::size_t take_n = std::min(k, visible);
-  if (take_n == 0) return;
-  ScoreScratch& s = begin_scratch(items_.size());
-  accumulate(query, s);
-  const double qnorm = query.norm();
-  s.scored.clear();
-  s.zero_ids.clear();
-  for (const std::size_t slot : s.touched) {
-    if (!slot_visible_at(slot, at)) continue;
-    const double score = std::clamp(
-        s.acc[slot] / (qnorm * items_[slot].vector.norm()), 0.0, 1.0);
-    if (score > 0.0) {
-      s.scored.push_back(ScoredItem{items_[slot].id, score});
-    } else {
-      s.zero_ids.push_back(items_[slot].id);
-    }
-  }
-  for (const Retired& r : retired_) {
-    if (!(r.added <= at && at < r.removed)) continue;
-    const double score =
-        std::clamp(dot_in_query_order(query, r.item.vector) /
-                       (qnorm * r.item.vector.norm()),
-                   0.0, 1.0);
-    if (score > 0.0) {
-      s.scored.push_back(ScoredItem{r.item.id, score});
-    } else {
-      s.zero_ids.push_back(r.item.id);
-    }
-  }
-  // (score, id) pairs are unique across visible versions, so sorting by
-  // the total order by_score_then_id yields the same sequence the plain
-  // kernel produced from its touched-order input.
-  if (s.scored.size() >= take_n) {
-    std::partial_sort(s.scored.begin(),
-                      s.scored.begin() + static_cast<std::ptrdiff_t>(take_n),
-                      s.scored.end(), by_score_then_id);
-    out.assign(s.scored.begin(),
-               s.scored.begin() + static_cast<std::ptrdiff_t>(take_n));
-    return;
-  }
-  std::sort(s.scored.begin(), s.scored.end(), by_score_then_id);
-  out.assign(s.scored.begin(), s.scored.end());
-  for (std::size_t slot = 0; slot < items_.size(); ++slot) {
-    if (s.epoch[slot] != s.cur && slot_visible_at(slot, at)) {
-      s.zero_ids.push_back(items_[slot].id);
-    }
-  }
-  std::sort(s.zero_ids.begin(), s.zero_ids.end());
-  for (const ItemId id : s.zero_ids) {
-    if (out.size() == take_n) break;
-    out.push_back(ScoredItem{id, 0.0});
-  }
-}
-
-void LocalIndex::match_all_at(std::span<const KeywordId> keywords, Epoch at,
-                              std::vector<ItemId>& out) const {
-  if (all_live_at(at)) {
-    match_all(keywords, out);
-    return;
-  }
-  out.clear();
-  if (!items_.empty()) {
-    if (keywords.empty()) {
-      for (std::size_t slot = 0; slot < items_.size(); ++slot) {
-        if (slot_visible_at(slot, at)) out.push_back(items_[slot].id);
-      }
-    } else {
-      // Unlike the plain kernel, a keyword with no live posting list must
-      // NOT end the query: a retired version may still hold it.
-      ScoreScratch& s = begin_scratch(items_.size());
-      bool live_possible = true;
-      for (const KeywordId kw : keywords) {
-        const auto it = postings_.find(kw);
-        if (it == postings_.end()) {
-          live_possible = false;
-          break;
-        }
-        kernels::accumulate_count(it->second.slots.data(), it->second.size(),
-                                  s.count.data(), s.epoch.data(), s.cur,
-                                  s.touched);
-      }
-      if (live_possible) {
-        for (const std::size_t slot : s.touched) {
-          if (s.count[slot] == keywords.size() && slot_visible_at(slot, at)) {
-            out.push_back(items_[slot].id);
-          }
-        }
-      }
-    }
-  }
-  for (const Retired& r : retired_) {
-    if (!(r.added <= at && at < r.removed)) continue;
-    if (contains_all_keywords(r.item.vector, keywords)) {
-      out.push_back(r.item.id);
-    }
-  }
-  std::sort(out.begin(), out.end());
 }
 
 }  // namespace meteo::vsm

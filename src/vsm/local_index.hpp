@@ -61,40 +61,6 @@ class LocalIndex {
   [[nodiscard]] std::size_t size() const noexcept { return items_.size(); }
   [[nodiscard]] bool empty() const noexcept { return items_.empty(); }
 
-  // --- epoch-stamped views (DESIGN.md §11) --------------------------------
-  // While retain_versions(true) is armed, mutations stamp their slot with
-  // the current write epoch and park the version they displace in a
-  // retired sidecar instead of destroying it. The *_at kernels then answer
-  // reads pinned at an earlier epoch bit-identically to what the plain
-  // kernels would have returned before those mutations ran. With the
-  // defaults (retain off, write epoch 0) every path below forwards to the
-  // unversioned kernel, so facade users pay nothing.
-
-  /// Stamps subsequent mutations as belonging to epoch `e`.
-  void set_write_epoch(Epoch e) noexcept { write_epoch_ = e; }
-
-  /// Arms (or disarms) version retention for displaced items.
-  void retain_versions(bool on) noexcept { retain_ = on; }
-
-  /// Drops every retired version (epoch boundary: no reader pins the old
-  /// epoch anymore).
-  void gc() noexcept { retired_.clear(); }
-
-  /// contains() as of epoch `at` (kEpochLatest = plain contains()).
-  [[nodiscard]] bool contains_at(ItemId id, Epoch at) const noexcept;
-
-  /// empty() as of epoch `at`.
-  [[nodiscard]] bool empty_at(Epoch at) const noexcept;
-
-  /// top_k() as of epoch `at`: scores and order are bit-identical to what
-  /// the plain kernel returned when the store was in its epoch-`at` state.
-  void top_k_at(const SparseVector& query, std::size_t k, Epoch at,
-                std::vector<ScoredItem>& out) const;
-
-  /// match_all() as of epoch `at`.
-  void match_all_at(std::span<const KeywordId> keywords, Epoch at,
-                    std::vector<ItemId>& out) const;
-
   /// The stored vector of `id`, or nullptr if absent.
   [[nodiscard]] const SparseVector* vector_of(ItemId id) const noexcept;
 
@@ -157,14 +123,6 @@ class LocalIndex {
     [[nodiscard]] std::size_t size() const noexcept { return slots.size(); }
   };
 
-  /// A displaced version kept alive for readers pinned at an older epoch:
-  /// visible at `at` when `added <= at && at < removed`.
-  struct Retired {
-    StoredItem item;
-    Epoch added = 0;
-    Epoch removed = 0;
-  };
-
   /// Appends postings for every term of items_[slot].vector, recording
   /// each posting's position in posting_pos_[slot].
   void add_postings(std::size_t slot);
@@ -188,21 +146,6 @@ class LocalIndex {
   void accumulate(const SparseVector& query,
                   detail::ScoreScratch& scratch) const;
 
-  /// True when the epoch-`at` view equals the live state, so a versioned
-  /// kernel may dispatch straight to its unversioned twin.
-  [[nodiscard]] bool all_live_at(Epoch at) const noexcept {
-    return at == kEpochLatest || (retired_.empty() && newest_added_ <= at);
-  }
-
-  /// items_[slot] is visible to a reader pinned at `at`.
-  [[nodiscard]] bool slot_visible_at(std::size_t slot,
-                                     Epoch at) const noexcept {
-    return added_[slot] <= at;
-  }
-
-  /// Parks a copy of a version displaced by the current write epoch.
-  void retire(const StoredItem& item, Epoch added);
-
   std::vector<StoredItem> items_;
   /// norms_[slot] = items_[slot].vector.norm(), kept parallel to items_
   /// so the scoring kernel reads norms from one contiguous array instead
@@ -213,14 +156,6 @@ class LocalIndex {
   std::vector<std::vector<std::size_t>> posting_pos_;
   std::unordered_map<ItemId, std::size_t> positions_;
   std::unordered_map<KeywordId, PostingList> postings_;
-
-  /// added_[slot] = epoch that inserted (or last replaced) items_[slot];
-  /// parallel to items_ and kept in sync through swap-erases.
-  std::vector<Epoch> added_;
-  std::vector<Retired> retired_;
-  Epoch newest_added_ = 0;   ///< max over added_; gates the fast path
-  Epoch write_epoch_ = 0;    ///< stamp for the next mutation
-  bool retain_ = false;      ///< park displaced versions in retired_?
 };
 
 }  // namespace meteo::vsm

@@ -16,15 +16,8 @@ using ItemId = std::uint64_t;
 
 inline constexpr KeywordId kInvalidKeyword = ~KeywordId{0};
 
-/// Epoch counter for snapshot-isolated reads (DESIGN.md §11). A version is
-/// visible at epoch `at` when `added <= at && at < removed`.
+/// Epoch counter of the EpochEngine's sealed windows (DESIGN.md §11): a
+/// window's reads run at epoch E, its writes commit into E+1.
 using Epoch = std::uint64_t;
-
-/// "Removed" stamp of a version that is still live.
-inline constexpr Epoch kEpochNever = ~Epoch{0};
-
-/// Pseudo-epoch meaning "read the latest state, ignore versioning". Store
-/// reads at kEpochLatest are byte-identical to the unversioned kernels.
-inline constexpr Epoch kEpochLatest = ~Epoch{0} - 1;
 
 }  // namespace meteo::vsm

@@ -1,28 +1,27 @@
 /// Seed-driven epoch-boundary interleave fuzzer (DESIGN.md §11).
 ///
 /// Each iteration synthesizes a random mixed read/write/churn schedule
-/// and forces a random subset of its reads — plus targeted probes — to
-/// straddle the epoch boundary: they pin epoch E when the window seals,
-/// but physically execute only after the window's publishes,
-/// withdrawals, and departures have committed into E+1, against the
-/// version-retaining stores. Two properties are checked:
+/// and closes every window with targeted probes that straddle the epoch
+/// boundary in submission order: they are submitted after the window's
+/// publishes, withdrawals, and departures, yet the engine runs every
+/// read of a window before its first write commits into E+1. Two
+/// properties are checked:
 ///
-///  1. Replay equality: the straddling run's complete transcript
-///     (results, Chrome trace, metric dump) is byte-identical to a
-///     sequential replay (workers = 1, nothing deferred) of the same
-///     schedule — fault-free and under a 5% drop plan.
-///  2. Snapshot semantics: every straddling read observes exactly epoch
-///     E — an item withdrawn in-window is still locatable, retrievable,
-///     and keyword-discoverable (its posting lists and directory bucket
-///     are untorn), and an item published in-window is invisible on all
-///     three paths. One epoch later, both flips appear.
+///  1. Replay equality: an 8-worker run's complete transcript (results,
+///     Chrome trace, metric dump) is byte-identical to a sequential
+///     replay (workers = 1) of the same schedule — fault-free and under
+///     a 5% drop plan.
+///  2. Snapshot semantics: every probe observes exactly epoch E — an
+///     item withdrawn in-window is still locatable, retrievable, and
+///     keyword-discoverable (its posting lists and directory bucket are
+///     untouched), and an item published in-window is invisible on the
+///     locate and search paths. One epoch later, both flips appear.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <optional>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "meteorograph/epoch.hpp"
@@ -118,12 +117,11 @@ struct DigestVisitor {
 
 struct RunMode {
   std::size_t workers = 1;
-  bool straddle = false;  ///< defer probes + a random read subset
   double drop_rate = 0.0;
 };
 
 /// Replays the schedule derived from `seed` and returns its transcript.
-/// Semantic straddle assertions fire only on fault-free runs (a dropped
+/// Semantic probe assertions fire only on fault-free runs (a dropped
 /// message can legitimately blind a locate or a pointer chase).
 std::string run_fuzz(const TestWorkload& wl, std::uint64_t seed,
                      const RunMode& mode) {
@@ -144,19 +142,7 @@ std::string run_fuzz(const TestWorkload& wl, std::uint64_t seed,
     EXPECT_TRUE(sys.set_fault_hook(&*plan));
   }
 
-  // The defer seam: probe ops always straddle; other reads straddle by a
-  // coin flip keyed on (seed, global op index). The set outlives the
-  // engine and is fully populated before each seal().
-  std::unordered_set<std::size_t> forced;
-  EpochOptions opts;
-  opts.workers = mode.workers;
-  opts.seed = seed;
-  if (mode.straddle) {
-    opts.defer_read = [&forced, seed](std::size_t g) {
-      return forced.contains(g) || (splitmix64(seed ^ (g + 1)) & 1) != 0;
-    };
-  }
-  EpochEngine engine(sys, opts);
+  EpochEngine engine(sys, {.workers = mode.workers, .seed = seed});
 
   Rng rng(seed);  // schedule synthesis stream; identical across modes
   std::vector<vsm::ItemId> live;
@@ -169,26 +155,20 @@ std::string run_fuzz(const TestWorkload& wl, std::uint64_t seed,
   const bool check_semantics = mode.drop_rate == 0.0;
 
   std::string out;
-  std::size_t submitted = 0;  // mirrors the engine's global op counter
   vsm::ItemId prev_victim = kNoItem;
   vsm::ItemId prev_fresh = kNoItem;
   for (int e = 0; e < kEpochs; ++e) {
-    auto submit = [&](auto op) {
-      engine.submit(op);
-      ++submitted;
-    };
+    auto submit = [&](auto op) { return engine.submit(op); };
 
     // Boundary probes for the *previous* window's flips: now committed,
-    // they must be visible (no deferral needed; the state is live).
+    // they must be visible.
     std::size_t prev_victim_probe = 0;
     std::size_t prev_fresh_probe = 0;
     if (prev_victim != kNoItem) {
       prev_victim_probe =
-          engine.submit(LocateOp{prev_victim, &wl.vectors[prev_victim], {}});
-      ++submitted;
+          submit(LocateOp{prev_victim, &wl.vectors[prev_victim], {}});
       prev_fresh_probe =
-          engine.submit(LocateOp{prev_fresh, &wl.vectors[prev_fresh], {}});
-      ++submitted;
+          submit(LocateOp{prev_fresh, &wl.vectors[prev_fresh], {}});
     }
 
     // This window's victim (visible at E, withdrawn into E+1) and fresh
@@ -256,25 +236,20 @@ std::string run_fuzz(const TestWorkload& wl, std::uint64_t seed,
       }
     }
 
-    // Straddle probes: forced past the write phase, pinned at E.
-    auto probe = [&](auto op) {
-      forced.insert(submitted);
-      const std::size_t index = engine.submit(op);
-      ++submitted;
-      return index;
-    };
+    // Straddle probes: submitted after every write of the window, they
+    // still run before the first one commits, so they observe epoch E.
     const std::size_t victim_locate =
-        probe(LocateOp{victim, &wl.vectors[victim], {}});
+        submit(LocateOp{victim, &wl.vectors[victim], {}});
     const std::size_t fresh_locate =
-        probe(LocateOp{fresh, &wl.vectors[fresh], {}});
+        submit(LocateOp{fresh, &wl.vectors[fresh], {}});
     const std::size_t victim_retrieve =
-        probe(RetrieveOp{&wl.vectors[victim], 5, {}});
+        submit(RetrieveOp{&wl.vectors[victim], 5, {}});
     kw_storage.push_back(wl.vectors[victim].entries()[0].keyword);
     const std::size_t victim_search =
-        probe(SearchOp{{&kw_storage.back(), 1}, 0, {}});
+        submit(SearchOp{{&kw_storage.back(), 1}, 0, {}});
     kw_storage.push_back(wl.vectors[fresh].entries()[0].keyword);
     const std::size_t fresh_search =
-        probe(SearchOp{{&kw_storage.back(), 1}, 0, {}});
+        submit(SearchOp{{&kw_storage.back(), 1}, 0, {}});
     EXPECT_LT(kw_storage.size(), 1024u);
 
     const EpochEngine::SealedEpoch sealed = engine.seal();
@@ -285,9 +260,9 @@ std::string run_fuzz(const TestWorkload& wl, std::uint64_t seed,
     }
 
     if (check_semantics) {
-      // The straddling reads observed exactly epoch E: the in-window
-      // withdrawal is invisible on the locate, retrieve, and keyword
-      // paths; the in-window publish is invisible on locate and search.
+      // The probes observed exactly epoch E: the in-window withdrawal is
+      // invisible on the locate, retrieve, and keyword paths; the
+      // in-window publish is invisible on locate and search.
       const auto& vl = std::get<LocateResult>(sealed.results[victim_locate]);
       EXPECT_TRUE(vl.found) << "victim " << victim << " torn at epoch "
                             << sealed.epoch;
@@ -299,15 +274,15 @@ std::string run_fuzz(const TestWorkload& wl, std::uint64_t seed,
       EXPECT_TRUE(std::any_of(
           vr.items.begin(), vr.items.end(),
           [&](const vsm::ScoredItem& s) { return s.id == victim; }))
-          << "victim " << victim << " missing from pinned retrieve";
+          << "victim " << victim << " missing from epoch-E retrieve";
       const auto& vs = std::get<SearchResult>(sealed.results[victim_search]);
       EXPECT_TRUE(std::find(vs.items.begin(), vs.items.end(), victim) !=
                   vs.items.end())
-          << "victim " << victim << " missing from pinned search";
+          << "victim " << victim << " missing from epoch-E search";
       const auto& fs = std::get<SearchResult>(sealed.results[fresh_search]);
       EXPECT_TRUE(std::find(fs.items.begin(), fs.items.end(), fresh) ==
                   fs.items.end())
-          << "fresh " << fresh << " leaked into pinned search";
+          << "fresh " << fresh << " leaked into epoch-E search";
 
       // The previous window's flips committed at its boundary.
       if (prev_victim != kNoItem) {
@@ -332,8 +307,7 @@ TEST(EpochInterleaveFuzz, StraddlingReadsMatchSequentialReplay) {
   const TestWorkload wl = make_workload(160, 51);
   for (const std::uint64_t seed : {101u, 202u, 303u, 404u}) {
     const std::string oracle = run_fuzz(wl, seed, {.workers = 1});
-    EXPECT_EQ(run_fuzz(wl, seed, {.workers = 8, .straddle = true}), oracle)
-        << "seed " << seed;
+    EXPECT_EQ(run_fuzz(wl, seed, {.workers = 8}), oracle) << "seed " << seed;
   }
 }
 
@@ -342,9 +316,7 @@ TEST(EpochInterleaveFuzz, StraddlingReadsMatchSequentialReplayUnderDrops) {
   for (const std::uint64_t seed : {55u, 66u}) {
     const std::string oracle =
         run_fuzz(wl, seed, {.workers = 1, .drop_rate = 0.05});
-    EXPECT_EQ(run_fuzz(wl, seed,
-                       {.workers = 8, .straddle = true, .drop_rate = 0.05}),
-              oracle)
+    EXPECT_EQ(run_fuzz(wl, seed, {.workers = 8, .drop_rate = 0.05}), oracle)
         << "seed " << seed;
   }
 }

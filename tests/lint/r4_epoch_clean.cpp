@@ -1,8 +1,8 @@
 // meteo-lint fixture: the epoch-scoped patterns R4 must NOT fire on —
 // the pinned epoch travels in a per-op context value instead of
 // thread-cached state, and constants stay immutable. Mirrors how the
-// EpochEngine threads ReadView{epoch} through the read cores
-// (DESIGN.md §11). Not compiled.
+// EpochEngine holds the epoch as member state and stamps each op's
+// trace with it (DESIGN.md §11). Not compiled.
 #include <cstdint>
 
 static constexpr std::uint64_t kEpochNever = ~std::uint64_t{0};

@@ -1,8 +1,8 @@
 // meteo-lint fixture: R4 must fire on thread_local state caching an
 // epoch across reads (checked as-if under src/meteorograph/). A cached
 // pinned epoch makes a read's snapshot depend on which worker ran it —
-// exactly the hazard the EpochEngine's per-op ReadView avoids
-// (DESIGN.md §11). Not compiled.
+// exactly the hazard the EpochEngine avoids by keeping the epoch as
+// member state (DESIGN.md §11). Not compiled.
 #include <cstdint>
 
 std::uint64_t pinned_epoch(std::uint64_t current) {

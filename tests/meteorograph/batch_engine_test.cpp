@@ -7,6 +7,7 @@
 #include <numeric>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -133,6 +134,35 @@ void expect_equal(const PublishResult& a, const PublishResult& b,
   EXPECT_EQ(a.replica_messages, b.replica_messages) << "op " << i;
   EXPECT_EQ(a.pointer_messages, b.pointer_messages) << "op " << i;
   EXPECT_EQ(a.degraded, b.degraded) << "op " << i;
+}
+
+void expect_equal(const WithdrawResult& a, const WithdrawResult& b,
+                  std::size_t i) {
+  EXPECT_EQ(a.removed, b.removed) << "op " << i;
+  EXPECT_EQ(a.replicas_removed, b.replicas_removed) << "op " << i;
+  EXPECT_EQ(a.pointer_removed, b.pointer_removed) << "op " << i;
+  EXPECT_EQ(a.messages, b.messages) << "op " << i;
+}
+
+void expect_equal(const RangeSearchResult& a, const RangeSearchResult& b,
+                  std::size_t i) {
+  EXPECT_EQ(a.matches, b.matches) << "op " << i;
+  EXPECT_EQ(a.route_hops, b.route_hops) << "op " << i;
+  EXPECT_EQ(a.walk_hops, b.walk_hops) << "op " << i;
+  EXPECT_EQ(a.nodes_visited, b.nodes_visited) << "op " << i;
+  EXPECT_EQ(a.partial, b.partial) << "op " << i;
+}
+
+void expect_equal(const DepartResult& a, const DepartResult& b,
+                  std::size_t i) {
+  EXPECT_EQ(a.departed, b.departed) << "op " << i;
+  EXPECT_EQ(a.items_transferred, b.items_transferred) << "op " << i;
+  EXPECT_EQ(a.replicas_transferred, b.replicas_transferred) << "op " << i;
+  EXPECT_EQ(a.pointers_transferred, b.pointers_transferred) << "op " << i;
+  EXPECT_EQ(a.attribute_records_transferred,
+            b.attribute_records_transferred)
+      << "op " << i;
+  EXPECT_EQ(a.messages, b.messages) << "op " << i;
 }
 
 // --- determinism: 1 worker vs N workers ------------------------------------
@@ -278,10 +308,10 @@ TEST(BatchEngine, WithdrawBatchRemovesItems) {
   EXPECT_EQ(sys.stored_item_count(), wl.vectors.size() - ops.size());
 }
 
-// A facade withdraw unlinks its directory pointer at once; a sealed
-// window's withdraw tombstones it and the seal's gc() unlinks it, leaving
-// holes at other positions and compacting at other moments. Searches must
-// not tell the two layouts apart. Reads get windows of their own: a
+// Sealed windows' withdraws unlink directory pointers at once, as facade
+// withdraws do, leaving holes and compacting the busiest directory node
+// once they are half of it. Searches must see the same pointers, in the
+// same order, as on the facade twin. Reads get windows of their own: a
 // sealed read sees the epoch before its window's writes.
 TEST(BatchEngine, WithdrawHeavySealedWindowsMatchFacade) {
   const TestWorkload wl = make_workload(320, 22);
@@ -332,8 +362,8 @@ TEST(BatchEngine, WithdrawHeavySealedWindowsMatchFacade) {
   std::vector<vsm::ItemId> live(preloaded);
   std::iota(live.begin(), live.end(), vsm::ItemId{0});
   vsm::ItemId fresh = preloaded;
-  // Until over half the busiest node's pointers are gone, which makes a
-  // seal's gc() compact it under retention at least once.
+  // Until over half the busiest node's pointers are gone, which compacts
+  // it at least once.
   for (std::size_t window = 0; 2 * withdrawn_there <= added_there; ++window) {
     ASSERT_LT(window, 60u) << "the busiest node never lost half its pointers";
     SCOPED_TRACE(window);
@@ -369,12 +399,9 @@ TEST(BatchEngine, WithdrawHeavySealedWindowsMatchFacade) {
         continue;
       }
       const auto& got = std::get<WithdrawResult>(written.results[i]);
-      const WithdrawResult want =
-          facade_sys.withdraw(id, wl.vectors[id], {.from = source});
-      EXPECT_EQ(got.removed, want.removed) << "op " << i;
-      EXPECT_EQ(got.replicas_removed, want.replicas_removed) << "op " << i;
-      EXPECT_EQ(got.pointer_removed, want.pointer_removed) << "op " << i;
-      EXPECT_EQ(got.messages, want.messages) << "op " << i;
+      expect_equal(got,
+                   facade_sys.withdraw(id, wl.vectors[id], {.from = source}),
+                   i);
       if (got.pointer_removed && pointer_home(id) == busiest) {
         ++withdrawn_there;
       }
@@ -392,6 +419,178 @@ TEST(BatchEngine, WithdrawHeavySealedWindowsMatchFacade) {
       EXPECT_EQ(got.nodes_visited, want.nodes_visited) << "op " << i;
     }
   }
+}
+
+/// One op of a mixed window, replayable on the engine and on the facade.
+struct MixedOp {
+  enum class Kind { kLocate, kRetrieve, kSearch, kRange, kPublish, kWithdraw,
+                    kDepart };
+  Kind kind = Kind::kLocate;
+  vsm::ItemId id = 0;  ///< the item, or the item whose vector is the query
+  std::size_t k = 0;   ///< search: 0 = discover all
+  double lo = 0.0;     ///< range: [lo, lo + kRangeWidth]
+  overlay::NodeId node = overlay::kInvalidNode;  ///< depart
+
+  static constexpr double kRangeWidth = 40.0;
+
+  [[nodiscard]] bool writes() const { return kind >= Kind::kPublish; }
+};
+
+// A sealed window runs every read before its first write, so its results
+// must equal the facade running the window's reads in window order and
+// then its writes in window order — also for reads submitted after the
+// writes they would otherwise observe.
+TEST(BatchEngine, MixedSealedWindowMatchesFacadeReadsFirst) {
+  const TestWorkload wl = make_workload(300, 23);
+  const vsm::ItemId preloaded = 240;  // later ids publish inside windows
+  Meteorograph facade_sys(small_config(40), wl.sample, 23);
+  Meteorograph engine_sys(small_config(40), wl.sample, 23);
+  // Pinning `from` keeps every op's result off the RNG streams, which the
+  // facade shares and the engine splits per op. The source never departs.
+  const overlay::NodeId source = 0;
+  AttributeId attr = 0;
+  for (Meteorograph* sys : {&facade_sys, &engine_sys}) {
+    attr = sys->register_attribute(0.0, 300.0);
+    for (vsm::ItemId id = 0; id < preloaded; ++id) {
+      ASSERT_TRUE(sys->publish(id, wl.vectors[id], {.from = source}).success);
+      if (id % 4 == 0) {
+        (void)sys->publish_attribute(id, attr, static_cast<double>(id),
+                                     {.from = source});
+      }
+    }
+  }
+  const auto keyword_of = [&](vsm::ItemId id) {
+    return std::span<const vsm::KeywordId>(&wl.vectors[id].entries()[0].keyword,
+                                           1);
+  };
+  const auto on_facade = [&](const MixedOp& op) -> EpochEngine::OpResult {
+    const vsm::SparseVector& v = wl.vectors[op.id];
+    switch (op.kind) {
+      case MixedOp::Kind::kLocate:
+        return facade_sys.locate(op.id, v, {.from = source});
+      case MixedOp::Kind::kRetrieve:
+        return facade_sys.retrieve(v, 5, {.from = source});
+      case MixedOp::Kind::kSearch:
+        return facade_sys.similarity_search(keyword_of(op.id), op.k,
+                                            {.from = source});
+      case MixedOp::Kind::kRange:
+        return facade_sys.range_search(attr, op.lo,
+                                       op.lo + MixedOp::kRangeWidth,
+                                       {.from = source});
+      case MixedOp::Kind::kPublish:
+        return facade_sys.publish(op.id, v, {.from = source});
+      case MixedOp::Kind::kWithdraw:
+        return facade_sys.withdraw(op.id, v, {.from = source});
+      case MixedOp::Kind::kDepart:
+        return facade_sys.depart_node(op.node);
+    }
+    return {};
+  };
+  EpochEngine engine(engine_sys, {.workers = 4, .seed = 23});
+  const auto on_engine = [&](const MixedOp& op) {
+    const vsm::SparseVector* v = &wl.vectors[op.id];
+    switch (op.kind) {
+      case MixedOp::Kind::kLocate:
+        return engine.submit(LocateOp{op.id, v, {.from = source}});
+      case MixedOp::Kind::kRetrieve:
+        return engine.submit(RetrieveOp{v, 5, {.from = source}});
+      case MixedOp::Kind::kSearch:
+        return engine.submit(
+            SearchOp{keyword_of(op.id), op.k, {.from = source}});
+      case MixedOp::Kind::kRange:
+        return engine.submit(RangeSearchOp{
+            attr, op.lo, op.lo + MixedOp::kRangeWidth, {.from = source}});
+      case MixedOp::Kind::kPublish:
+        return engine.submit(PublishOp{op.id, v, {.from = source}});
+      case MixedOp::Kind::kWithdraw:
+        return engine.submit(WithdrawOp{op.id, v, {.from = source}});
+      case MixedOp::Kind::kDepart:
+        return engine.submit(DepartOp{op.node});
+    }
+    return std::size_t{0};
+  };
+
+  Rng rng(23);
+  std::vector<vsm::ItemId> live(preloaded);
+  std::iota(live.begin(), live.end(), vsm::ItemId{0});
+  vsm::ItemId fresh = preloaded;
+  using Kind = MixedOp::Kind;
+  for (std::size_t window = 0; window < 6; ++window) {
+    SCOPED_TRACE(window);
+    // 21 ops in a random order: four publishes, four withdraws, one
+    // depart, and twelve reads of every kind.
+    std::vector<MixedOp> ops;
+    for (std::size_t i = 0; i < 4; ++i) {
+      ops.push_back({.kind = Kind::kPublish, .id = fresh++});
+      const std::size_t pick = rng.below(live.size());
+      ops.push_back({.kind = Kind::kWithdraw, .id = live[pick]});
+      live[pick] = live.back();
+      live.pop_back();
+    }
+    ops.push_back({.kind = Kind::kDepart,
+                   .node = static_cast<overlay::NodeId>(5 + 6 * window)});
+    for (std::size_t i = 0; i < 3; ++i) {
+      ops.push_back({.kind = Kind::kLocate, .id = rng.below(fresh)});
+      ops.push_back({.kind = Kind::kRetrieve, .id = rng.below(fresh)});
+    }
+    for (const std::size_t k : {4u, 4u, 0u, 0u}) {
+      ops.push_back({.kind = Kind::kSearch, .id = rng.below(fresh), .k = k});
+    }
+    for (std::size_t i = 0; i < 2; ++i) {
+      ops.push_back({.kind = Kind::kRange,
+                     .lo = static_cast<double>(rng.below(260))});
+    }
+    for (std::size_t i = ops.size() - 1; i > 0; --i) {
+      std::swap(ops[i], ops[rng.below(i + 1)]);
+    }
+    // Three probes, each at a random position after the write it targets:
+    // a locate of the first withdrawn item, and a locate and a
+    // discover-all search for the first published one.
+    std::vector<std::size_t> probes;
+    const auto insert_after = [&](Kind target, MixedOp probe) {
+      const auto at = std::find_if(ops.begin(), ops.end(), [&](const auto& o) {
+        return o.kind == target;
+      });
+      probe.id = at->id;
+      const auto first = static_cast<std::size_t>(at - ops.begin()) + 1;
+      const std::size_t pos = first + rng.below(ops.size() - first + 1);
+      ops.insert(ops.begin() + static_cast<std::ptrdiff_t>(pos), probe);
+      for (std::size_t& p : probes) p += p >= pos ? 1 : 0;
+      probes.push_back(pos);
+    };
+    insert_after(Kind::kWithdraw, {.kind = Kind::kLocate});
+    insert_after(Kind::kPublish, {.kind = Kind::kLocate});
+    insert_after(Kind::kPublish, {.kind = Kind::kSearch, .k = 0});
+    ASSERT_EQ(ops.size(), 24u);
+
+    for (const MixedOp& op : ops) (void)on_engine(op);
+    const EpochEngine::SealedEpoch sealed = engine.seal();
+    std::vector<EpochEngine::OpResult> want(ops.size());
+    for (const bool writes : {false, true}) {
+      for (std::size_t i = 0; i < ops.size(); ++i) {
+        if (ops[i].writes() == writes) want[i] = on_facade(ops[i]);
+      }
+    }
+
+    ASSERT_EQ(sealed.results.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      ASSERT_EQ(sealed.results[i].index(), want[i].index()) << "op " << i;
+      std::visit(
+          [&](const auto& got) {
+            using R = std::decay_t<decltype(got)>;
+            expect_equal(got, std::get<R>(want[i]), i);
+          },
+          sealed.results[i]);
+    }
+    // The probes saw the state before the window's writes.
+    EXPECT_TRUE(std::get<LocateResult>(sealed.results[probes[0]]).found);
+    EXPECT_FALSE(std::get<LocateResult>(sealed.results[probes[1]]).found);
+    const std::vector<vsm::ItemId>& found =
+        std::get<SearchResult>(sealed.results[probes[2]]).items;
+    EXPECT_EQ(std::count(found.begin(), found.end(), ops[probes[2]].id), 0);
+  }
+  EXPECT_EQ(engine_sys.node_loads(), facade_sys.node_loads());
+  EXPECT_EQ(engine_sys.stored_item_count(), facade_sys.stored_item_count());
 }
 
 // --- typed calls: repeatable, epoch-neutral, one window --------------------

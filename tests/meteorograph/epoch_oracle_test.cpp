@@ -12,7 +12,6 @@
 
 #include <gtest/gtest.h>
 
-#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
@@ -163,7 +162,6 @@ constexpr std::size_t kInitialItems = 100;
 struct RunConfig {
   std::size_t workers = 1;
   double drop_rate = 0.0;
-  std::function<bool(std::size_t)> defer = {};
 };
 
 /// Replays one fixed mixed read/write/churn schedule — three epochs of
@@ -191,7 +189,6 @@ std::string run_mixed(const TestWorkload& wl, const RunConfig& rc) {
 
   EpochOptions opts;
   opts.workers = rc.workers;
-  opts.defer_read = rc.defer;
   EpochEngine engine(sys, opts);
 
   std::string out;
@@ -224,7 +221,7 @@ std::string run_mixed(const TestWorkload& wl, const RunConfig& rc) {
       engine.submit(DepartOp{next_depart});
       next_depart += 11;
     }
-    // Reads submitted after the churn still pin the same epoch.
+    // Reads submitted after the churn still observe the same epoch.
     for (int k = 4; k < 8; ++k) {
       engine.submit(RetrieveOp{
           &wl.vectors[static_cast<std::size_t>(e * 13 + k * 7) % kInitialItems],
@@ -264,29 +261,6 @@ TEST(EpochOracle, MixedChurnScheduleMatchesSequentialReplayUnderDrops) {
   EXPECT_EQ(run_mixed(wl, {.workers = 8, .drop_rate = 0.05}), oracle);
 }
 
-// --- oracle: deferred reads vs pre-write reads -------------------------------
-// Deferring every read past the write phase forces the versioned store
-// views; deferring none takes the live fast path. Byte equality between
-// the two proves a pinned read observes exactly epoch E regardless of
-// when it physically runs.
-
-TEST(EpochOracle, DeferredReadsObserveExactlyThePinnedEpoch) {
-  const TestWorkload wl = make_workload(160, 43);
-  const auto defer_all = [](std::size_t) { return true; };
-  const std::string eager = run_mixed(wl, {.workers = 8});
-  EXPECT_EQ(run_mixed(wl, {.workers = 8, .defer = defer_all}), eager);
-  EXPECT_EQ(run_mixed(wl, {.workers = 1, .defer = defer_all}), eager);
-}
-
-TEST(EpochOracle, DeferredReadsObserveExactlyThePinnedEpochUnderDrops) {
-  const TestWorkload wl = make_workload(160, 44);
-  const auto defer_all = [](std::size_t) { return true; };
-  const std::string eager = run_mixed(wl, {.workers = 8, .drop_rate = 0.05});
-  EXPECT_EQ(
-      run_mixed(wl, {.workers = 8, .drop_rate = 0.05, .defer = defer_all}),
-      eager);
-}
-
 // --- epoch visibility semantics ----------------------------------------------
 
 TEST(EpochOracle, WriteVisibilityFlipsAtTheEpochBoundary) {
@@ -296,7 +270,7 @@ TEST(EpochOracle, WriteVisibilityFlipsAtTheEpochBoundary) {
     ASSERT_TRUE(sys.publish(id, wl.vectors[id]).success);
   }
 
-  EpochEngine engine(sys, {.workers = 4, .seed = 9, .defer_read = {}});
+  EpochEngine engine(sys, {.workers = 4, .seed = 9});
   const vsm::ItemId victim = 7;
   const vsm::ItemId fresh = 100;
   const std::size_t before = engine.submit(
@@ -309,7 +283,7 @@ TEST(EpochOracle, WriteVisibilityFlipsAtTheEpochBoundary) {
       LocateOp{fresh, &wl.vectors[fresh], {}});
   const auto first = engine.seal();
   EXPECT_EQ(first.epoch, 0u);
-  // Within the window, every read pins epoch 0: the withdrawal and the
+  // Within the window, every read observes epoch 0: the withdrawal and the
   // publish are invisible no matter where the read sits in the order.
   EXPECT_TRUE(std::get<LocateResult>(first.results[before]).found);
   EXPECT_TRUE(std::get<LocateResult>(first.results[after]).found);
@@ -334,7 +308,7 @@ TEST(EpochOracle, EpochMetricsTrackSeals) {
   for (vsm::ItemId id = 0; id < 30; ++id) {
     ASSERT_TRUE(sys.publish(id, wl.vectors[id]).success);
   }
-  EpochEngine engine(sys, {.workers = 2, .seed = 1, .defer_read = {}});
+  EpochEngine engine(sys, {.workers = 2, .seed = 1});
   engine.submit(LocateOp{3, &wl.vectors[3], {}});
   (void)engine.seal();
   engine.submit(LocateOp{4, &wl.vectors[4], {}});

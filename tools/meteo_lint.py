@@ -46,38 +46,26 @@ golden fingerprints. This linter enforces the same contract
       `// meteo-lint: naming-seam(<reason>)`.
   R7  no borrowed view escaping its lifetime. The borrowed-type
       registry (std::span, std::string_view, RoutingTableView,
-      ReadView, arena-backed std::pmr containers, OpScratch
-      references) names every type in the tree that points into
-      storage someone else owns — pooled NodePool slabs, epoch
-      version chains, the per-thread scratch arena. A registered type
-      may not be stored into a class member or a static, returned
+      arena-backed std::pmr containers, OpScratch references) names
+      every type in the tree that points into storage someone else
+      owns — pooled NodePool slabs, the per-thread scratch arena. A
+      registered type may not be stored into a class member or a
+      static, returned
       when it refers to a local owning container, or captured by
       reference (or via `this`) into deferred work — an
       `sim::EventQueue` action or a `meteo::ThreadPool` job outlives
       the scope that scheduled it. Types that are themselves
-      registered borrows (RoutingTableView, ReadView, OpScratch) may
+      registered borrows (RoutingTableView, OpScratch) may
       aggregate borrowed members: a view composed of views is still
       one view, not an escape. Suppress with
       `// meteo-lint: borrow_ok(<reason>)`.
-  R8  epoch safety inside the const read cores (DESIGN.md §11):
-      while a ReadView is in scope — a ReadView parameter, or a local
-      ReadView declaration until its block ends — the live accessors
-      of the versioned stores (`contains`, `top_k`, `top_k_lsi`,
-      `match_all`, `match_any`, `for_each`, `empty`, `visible` on an
-      items/replicas/directory receiver) are banned: a pinned read
-      that touches live state tears the snapshot, so reads must
-      thread view.epoch through the `*_at` variants. Version-sidecar
-      mutation (`set_write_epoch`, `retain_versions`, `gc`) is banned
-      outside the commit phase (epoch.cpp's arm/gc/disarm and the
-      stores' own delegation plumbing). Suppress with
-      `// meteo-lint: epoch_ok(<reason>)`.
 
 Every suppression requires a non-empty reason; `--list-suppressions`
 prints the audited inventory. A suppression that matches no violation
 is itself an error (stale suppressions rot).
 
 Engines: with python-libclang available the checker walks the clang
-AST for R1/R4/R7/R8 (exact canonical types, real declaration /
+AST for R1/R4/R7 (exact canonical types, real declaration /
 member / lambda-capture / return-statement dataflow); otherwise a
 token-level engine covers all rules with the name/shape heuristics
 documented next to each check. `--engine auto` (default) picks
@@ -110,8 +98,6 @@ RULES = {
     "R6": ("naming-seam",
            "direct absolute-angle naming outside the naming layer"),
     "R7": ("borrow_ok", "borrowed view escaping its lifetime"),
-    "R8": ("epoch_ok",
-           "live-view access / sidecar mutation under epoch pinning"),
 }
 TAG_TO_RULE = {tag: rule for rule, (tag, _) in RULES.items()}
 
@@ -120,15 +106,16 @@ TAG_TO_RULE = {tag: rule for rule, (tag, _) in RULES.items()}
 R2_ALLOW_PREFIXES = ("src/obs/", "bench/", "tools/", "examples/")
 # R4 applies where per-op state determinism is contractual. The prefix
 # covers the whole facade layer including the epoch/serving subsystem
-# (src/meteorograph/epoch.*, src/meteorograph/server.*): a pinned epoch
-# cached in thread_local or static state would make a read's snapshot
-# depend on worker scheduling, which is exactly what DESIGN.md §11
-# forbids — the epoch travels in per-op ReadView values instead. The
-# overlay and sim substrates joined the charter with the SoA registry
-# (DESIGN.md §13): the membership index, node pool, and event queue are
-# all shared-by-value state a batch reads concurrently — a thread_local
-# cursor cache or a mutable static rank table would break byte-identity
-# across worker counts just as surely as a cached epoch.
+# (src/meteorograph/epoch.*, src/meteorograph/server.*): an epoch or
+# window cursor cached in thread_local or static state would make an
+# op's outcome depend on which worker ran it, which is exactly what
+# DESIGN.md §11 forbids — the engine holds the epoch as member state and
+# stamps it on each op's trace. The overlay and sim substrates joined
+# the charter with the SoA registry (DESIGN.md §13): the membership
+# index, node pool, and event queue are all shared-by-value state a
+# batch reads concurrently — a thread_local cursor cache or a mutable
+# static rank table would break byte-identity across worker counts just
+# as surely as a cached epoch.
 R4_PREFIXES = ("src/meteorograph/", "src/vsm/", "src/overlay/", "src/sim/")
 # R6: the facade layer must name items through core::NamingStrategy; only
 # the naming layer itself may touch the vsm::absolute_angle* kernels.
@@ -173,8 +160,7 @@ R6_PATTERN = re.compile(r"\babsolute_angle\w*\b")
 # -- R7: the borrowed-type registry (DESIGN.md §10) -------------------------
 # Everything here points into storage someone else owns: std::span /
 # std::string_view by construction, RoutingTableView (spans over pooled
-# NodePool runs), ReadView (a pinned epoch whose versions are only
-# retained while the retention window is armed), std::pmr containers
+# NodePool runs), std::pmr containers
 # (they borrow their arena's memory_resource), and references to the
 # per-thread OpScratch. The token engine matches type *spellings*; the
 # clang engine matches canonical types.
@@ -183,12 +169,11 @@ BORROWED_TYPE_RE = re.compile(
     r"|\bstd\s*::\s*(?:basic_)?string_view\b"
     r"|\bstd\s*::\s*pmr\s*::\s*\w+"
     r"|\bRoutingTableView\b"
-    r"|\bReadView\b"
     r"|\bOpScratch\s*[&*]")
 # Registered view aggregates: types that ARE borrows composed of
-# borrows. Their span/epoch members are the borrow's representation,
+# borrows. Their span members are the borrow's representation,
 # not an escape — storing one of *them* elsewhere is what escapes.
-R7_VIEW_AGGREGATES = {"RoutingTableView", "ReadView", "OpScratch"}
+R7_VIEW_AGGREGATES = {"RoutingTableView", "OpScratch"}
 # Deferred-work sinks: the callable outlives the scheduling scope.
 # ThreadPool::parallel_for* are NOT sinks — they block until the jobs
 # drain, so by-ref captures there cannot dangle.
@@ -217,37 +202,6 @@ R7_ARRAY_LOCAL_RE = re.compile(
 R7_CLASS_HEAD_RE = re.compile(r"\b(?:struct|class)\s+"
                               r"(?:alignas\s*\([^)]*\)\s*)?"
                               r"([A-Za-z_]\w*)\b(?![^{]*;)")
-
-# -- R8: epoch-pinned read cores (DESIGN.md §11) ----------------------------
-R8_PREFIXES = ("src/meteorograph/", "src/vsm/")
-# The commit phase owns the sidecar: EpochEngine::arm/gc/disarm_stores
-# (epoch.cpp), plus the versioned stores' own delegation plumbing.
-R8_SIDECAR_ALLOW = (
-    "src/meteorograph/epoch.cpp",
-    "src/meteorograph/storage.hpp",
-    "src/meteorograph/directory.hpp",
-    "src/vsm/local_index.hpp",
-    "src/vsm/local_index.cpp",
-)
-R8_SIDECAR_RE = re.compile(
-    r"(?:\.|->)\s*(set_write_epoch|retain_versions|gc)\s*\(")
-# Live (non-`_at`) accessors on a versioned-store receiver. `_at`
-# variants never match: the accessor name must be followed directly by
-# the call's `(`.
-R8_LIVE_RE = re.compile(
-    r"\b(items|replicas|directory)_?\s*(?:\.|->)\s*"
-    r"(top_k_lsi|top_k|contains|match_all|match_any|for_each|empty|visible)"
-    r"\s*\(")
-# A function definition whose parameter list carries a ReadView: its
-# whole body reads at the pinned epoch.
-R8_FN_VIEW_RE = re.compile(
-    r"\(([^;{}()]*\bReadView\b[^;{}()]*)\)\s*(?:const\b|noexcept\b|\s)*\{")
-# A local ReadView declaration pins the rest of its enclosing block
-# (the epoch.cpp seal() shape). The initializer is matched by lookahead
-# so the block scanner starts before the init braces, keeping its brace
-# count balanced.
-R8_LOCAL_VIEW_RE = re.compile(
-    r"\b(?:const\s+)?ReadView\s+[A-Za-z_]\w*\s*(?=[{=;])")
 
 R5_VOLATILE_RE = re.compile(r"(?<![\w])volatile(?![\w])")
 R5_RELAXED_RE = re.compile(r"\bmemory_order_relaxed\b")
@@ -796,66 +750,6 @@ class TokenEngine:
                         f"`{m.group('type')}` referring to local "
                         f"`{bad[0]}` — the storage dies at scope exit")
 
-    # -- R8 ----------------------------------------------------------------
-    def check_r8(self, path: str, rel: str, lines: list[Line],
-                 report: FileReport) -> None:
-        blob, line_of = _join_code(lines)
-        if rel not in R8_SIDECAR_ALLOW:
-            for m in R8_SIDECAR_RE.finditer(blob):
-                add_violation(
-                    report, path, line_of(m.start()), "R8",
-                    f"version-sidecar mutation `{m.group(1)}` outside the "
-                    f"commit phase — only EpochEngine's arm/gc/disarm "
-                    f"(epoch.cpp) may move the write epoch or the "
-                    f"retention window (DESIGN.md §11)")
-        spans = self._r8_pinned_spans(blob)
-        if not spans:
-            return
-        for m in R8_LIVE_RE.finditer(blob):
-            if any(lo <= m.start() < hi for lo, hi in spans):
-                add_violation(
-                    report, path, line_of(m.start()), "R8",
-                    f"live accessor `{m.group(1)}.{m.group(2)}` while a "
-                    f"ReadView is in scope — a pinned read must thread "
-                    f"view.epoch through `{m.group(2)}_at` "
-                    f"(DESIGN.md §11)")
-
-    @staticmethod
-    def _r8_pinned_spans(blob: str) -> list[tuple[int, int]]:
-        """Blob ranges where a ReadView pins the epoch: the body of any
-        function taking a ReadView parameter, and the tail of any block
-        after a local ReadView declaration (outside parens, so default
-        arguments in declarations do not count)."""
-        spans: list[tuple[int, int]] = []
-        for fm in R8_FN_VIEW_RE.finditer(blob):
-            found = _balanced_brace(blob, fm.end() - 1)
-            if found is not None:
-                spans.append((fm.end(), found[1]))
-        depth_at = []
-        d = 0
-        for c in blob:
-            depth_at.append(d)
-            if c == "(":
-                d += 1
-            elif c == ")":
-                d = max(0, d - 1)
-        for dm in R8_LOCAL_VIEW_RE.finditer(blob):
-            if depth_at[dm.start()] != 0:
-                continue
-            bd = 0
-            end = len(blob)
-            for i in range(dm.end(), len(blob)):
-                c = blob[i]
-                if c == "{":
-                    bd += 1
-                elif c == "}":
-                    bd -= 1
-                    if bd < 0:
-                        end = i
-                        break
-            spans.append((dm.end(), end))
-        return spans
-
 
 # --------------------------------------------------------------------------
 # libclang engine (R1/R4 on the AST; falls back to tokens on any failure)
@@ -947,7 +841,7 @@ class ClangEngine(TokenEngine):
         except Exception:
             super().check_r4(path, lines, report)
 
-    # -- R7/R8 on the AST --------------------------------------------------
+    # -- R7 on the AST -----------------------------------------------------
     # Real dataflow instead of spellings: field declarations, static
     # variable declarations, lambda captures inside deferred-sink call
     # expressions, and return statements are resolved through canonical
@@ -955,7 +849,7 @@ class ClangEngine(TokenEngine):
     # checks, so the rules never silently go dead.
 
     _BORROWED_SPELLINGS = ("std::span", "basic_string_view",
-                           "RoutingTableView", "ReadView", "OpScratch &",
+                           "RoutingTableView", "OpScratch &",
                            "OpScratch *", "std::pmr::")
     _OWNING_SPELLINGS = ("std::vector", "std::basic_string", "std::array",
                          "std::deque", "std::map", "std::set",
@@ -1068,71 +962,6 @@ class ClangEngine(TokenEngine):
                     walk_fns(child)
         except Exception:
             super().check_r7(path, rel, lines, report)
-
-    def check_r8(self, path: str, rel: str, lines: list[Line],
-                 report: FileReport) -> None:
-        ci = self._cindex
-        try:
-            tu = ci.Index.create().parse(path, args=self._args)
-            live = {"contains", "top_k", "top_k_lsi", "match_all",
-                    "match_any", "for_each", "empty", "visible"}
-            stores = {"items", "replicas", "directory",
-                      "items_", "replicas_", "directory_"}
-            sidecar = {"set_write_epoch", "retain_versions", "gc"}
-            allow_sidecar = rel in R8_SIDECAR_ALLOW
-
-            def is_view_type(type_obj) -> bool:
-                return "ReadView" in type_obj.get_canonical().spelling
-
-            def member_base_name(call) -> str:
-                # The receiver is the identifier before the last `.`/`->`
-                # of the callee member expression.
-                for child in call.get_children():
-                    if child.kind == ci.CursorKind.MEMBER_REF_EXPR:
-                        tokens = [t.spelling for t in child.get_tokens()]
-                        for i in range(len(tokens) - 1, 0, -1):
-                            if tokens[i] in (".", "->"):
-                                return tokens[i - 1]
-                return ""
-
-            def scan_calls(node, pinned: bool):
-                if node.kind == ci.CursorKind.CALL_EXPR:
-                    name = node.spelling
-                    if name in sidecar and not allow_sidecar:
-                        add_violation(
-                            report, path, node.location.line, "R8",
-                            f"version-sidecar mutation `{name}` outside "
-                            f"the commit phase (DESIGN.md §11)")
-                    elif pinned and name in live and \
-                            member_base_name(node) in stores:
-                        add_violation(
-                            report, path, node.location.line, "R8",
-                            f"live accessor `{name}` while a ReadView is "
-                            f"in scope — thread view.epoch through "
-                            f"`{name}_at` (DESIGN.md §11)")
-                if node.kind == ci.CursorKind.VAR_DECL and \
-                        is_view_type(node.type):
-                    pinned = True
-                for child in node.get_children():
-                    if self._in_file(child, path):
-                        scan_calls(child, pinned)
-
-            def walk_fns(node):
-                if node.kind in (ci.CursorKind.FUNCTION_DECL,
-                                 ci.CursorKind.CXX_METHOD) and \
-                        node.is_definition():
-                    pinned = any(is_view_type(a.type)
-                                 for a in node.get_arguments())
-                    scan_calls(node, pinned)
-                for child in node.get_children():
-                    if self._in_file(child, path):
-                        walk_fns(child)
-
-            for child in tu.cursor.get_children():
-                if self._in_file(child, path):
-                    walk_fns(child)
-        except Exception:
-            super().check_r8(path, rel, lines, report)
 
 
 # --------------------------------------------------------------------------
@@ -1291,8 +1120,6 @@ def scan(paths: list[str], repo_root: str, engine: TokenEngine,
         check_r5(path, lines, report)
         check_r6(path, rel, lines, report)
         engine.check_r7(path, rel, lines, report)
-        if rel.startswith(R8_PREFIXES):
-            engine.check_r8(path, rel, lines, report)
 
     if check_cmake_files:
         for cm in iter_cmake_files(repo_root):
@@ -1315,7 +1142,7 @@ def scan(paths: list[str], repo_root: str, engine: TokenEngine,
 # entry is (rule, violation fixture, clean fixture) and is held to the
 # same fire/stay-quiet standard. The epoch pair pins the R4 shape that
 # motivated extending the rule's charter to the serving layer:
-# thread-cached pinned epochs vs per-op ReadView context. The naming
+# thread-cached pinned epochs vs per-op epoch context. The naming
 # pairs pin the shapes the NamingStrategy seam (DESIGN.md §12) added to
 # the R2/R4 charters: LSH hyperplanes must be derived statelessly from
 # the fixed config seed, never from ambient randomness (R2) or a
@@ -1334,10 +1161,6 @@ SCENARIO_FIXTURES = [
     # side doubles as the `borrow_ok` grammar demo: the identical shape
     # with a reasoned suppression passes with no stale-entry error.
     ("R7", "r7_defer_violation.cpp", "r7_defer_clean.cpp"),
-    # The scope pair pins R8's ReadView-lifetime precision (the
-    # epoch.cpp seal() shape): live reads after a local ReadView fire,
-    # live reads after its block closes stay quiet.
-    ("R8", "r8_scope_violation.cpp", "r8_scope_clean.cpp"),
 ]
 
 
