@@ -4,14 +4,10 @@
 /// brute-force cosine ground truth and messages per query on two
 /// workloads: the market-basket trace the paper's scheme was fitted for,
 /// and a clustered high-dimensional embedding workload where a single
-/// 1-D angle projection collapses. Merged into BENCH_ablation_naming.json
-/// for the regression gate.
+/// 1-D angle projection collapses. Its figure check (bench/CMakeLists.txt)
+/// pins every row exactly.
 
 #include <algorithm>
-#include <fstream>
-#include <iostream>
-#include <sstream>
-#include <thread>
 #include <vector>
 
 #include "bench/harness.hpp"
@@ -187,39 +183,11 @@ StrategyResult run_strategy(const bench::ExperimentFlags& flags,
   return out;
 }
 
-/// BENCH_ablation_naming.json: harness-format rows the bench_compare gate
-/// can ratio-test. Recall rows carry recall as ops_per_second directly;
-/// message rows carry queries-per-kilomessage, so more traffic for the
-/// same work shows up as a comparator-visible drop.
-void write_json(const std::string& path,
-                const std::vector<std::pair<const char*, StrategyResult>>&
-                    rows) {
-  std::ofstream out(path, std::ios::trunc);
-  out << "{\n  \"hardware_concurrency\": "
-      << std::thread::hardware_concurrency() << ",\n  \"results\": [\n";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const auto& [workload, r] = rows[i];
-    std::ostringstream base;
-    base << "ablation_naming/" << workload << "/" << r.strategy;
-    out << "    {\"bench\": \"" << base.str()
-        << "/recall\", \"workers\": 1, \"ops_per_second\": " << r.recall
-        << ", \"recall_at_10\": " << r.recall << "},\n";
-    out << "    {\"bench\": \"" << base.str()
-        << "/messages\", \"workers\": 1, \"ops_per_second\": "
-        << 1000.0 / r.messages_per_query
-        << ", \"messages_per_query\": " << r.messages_per_query << "}"
-        << (i + 1 < rows.size() ? ",\n" : "\n");
-  }
-  out << "  ]\n}\n";
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   CliParser cli;
   bench::add_common_flags(cli);
-  cli.add_flag("json-out", "BENCH_ablation_naming.json",
-               "recall/messages report for the regression gate");
   if (!cli.parse(argc, argv)) return 1;
   const bench::ExperimentFlags flags = bench::read_common_flags(cli);
   // Brute-force ground truth is O(queries * items); keep the default runs
@@ -242,18 +210,14 @@ int main(int argc, char** argv) {
 
   TextTable table({"workload", "strategy", "recall@10", "msgs/query",
                    "publish msgs/item"});
-  std::vector<std::pair<const char*, StrategyResult>> rows;
   for (const AblationWorkload& wl : workloads) {
     for (const auto& [kind, name] : strategies) {
       const StrategyResult r = run_strategy(flags, wl, kind, name, nodes);
       table.add_row({wl.name, r.strategy, TextTable::num(r.recall, 4),
                      TextTable::num(r.messages_per_query, 2),
                      TextTable::num(r.publish_messages_per_item, 2)});
-      rows.emplace_back(wl.name, r);
     }
   }
   bench::emit(table, flags.csv);
-  write_json(cli.get("json-out"), rows);
-  std::cout << "wrote " << cli.get("json-out") << "\n";
   return 0;
 }

@@ -3,6 +3,7 @@
 /// nodes covering the range — messages ~ log N + span_fraction * N_slice.
 
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "bench/harness.hpp"
@@ -48,7 +49,12 @@ int main(int argc, char** argv) {
       if (v >= lo && v <= hi) ++expected;
     }
     const core::RangeSearchResult r = sys.range_search(attr, lo, hi);
-    table.add_row({"[" + TextTable::num(lo, 4) + ", " + TextTable::num(hi, 4) + "]",
+    std::string range = "[";
+    range += TextTable::num(lo, 4);
+    range += ", ";
+    range += TextTable::num(hi, 4);
+    range += "]";
+    table.add_row({range,
                    TextTable::integer(static_cast<long long>(expected)),
                    TextTable::integer(static_cast<long long>(r.matches.size())),
                    TextTable::integer(static_cast<long long>(r.route_hops)),

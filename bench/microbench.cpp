@@ -111,8 +111,8 @@ BENCHMARK(BM_AliasSample);
 //
 // BM_LocalIndex* (inverted postings) vs BM_LocalIndexNaive* (the retained
 // naive scan from vsm/naive_scan.hpp) at store sizes {16,128,1024} and
-// query nnz {2,8,32}. tools/bench_compare.py diffs the resulting
-// BENCH_local_index.json against the committed baseline.
+// query nnz {2,8,32}. The committed BENCH_local_index.json is a dated
+// snapshot, not a gate; LocalIndexOracle.* pins the results themselves.
 
 constexpr std::size_t kIndexDims = 1024;
 constexpr std::size_t kItemNnz = 8;
@@ -233,9 +233,8 @@ BENCHMARK(BM_LocalIndexNaiveEvict)->Apply(index_sizes);
 // reference against the AVX2 finalize variant at the index shapes the
 // BM_LocalIndex* suite exercises (items x query nnz). The scalar/vector
 // pair is the headline number: both produce bit-identical scores (proven
-// by tests/vsm/kernel_oracle_test.cpp), so the speedup is free.
-// tools/bench_compare.py diffs BENCH_kernels.json against the committed
-// baseline.
+// by tests/vsm/kernel_oracle_test.cpp), so the speedup is free. The
+// committed BENCH_kernels.json is a dated snapshot, not a gate.
 
 /// acc/norms/touched arrays shaped like LocalIndex::top_k's state after
 /// its accumulate pass: every item touched, accumulation from a real

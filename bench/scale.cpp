@@ -4,7 +4,8 @@
 /// mixed-operation workload (TraceStream baskets -> route + replica-home
 /// lookups) and an event-queue churn loop against each ring. Rows merge
 /// into BENCH_scale.json (harness format plus the memory fields
-/// tools/bench_compare.py gates on: bytes_per_node, peak_rss_bytes).
+/// bytes_per_node and peak_rss_bytes), a dated snapshot that nothing
+/// gates; ScaleSmoke bounds the bytes per node in tier 1.
 ///
 /// Unlike the figure benches this one never materializes a trace or a
 /// Meteorograph: at 10^6 nodes the overlay substrate itself is the

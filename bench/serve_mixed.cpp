@@ -6,7 +6,8 @@
 /// message-drop plan keeps the timeout/deadline accounting on a live
 /// path. The schedule is derived once from the seed, so every worker
 /// count serves the identical request stream over an identically built
-/// system; merged into BENCH_serve.json for the regression gate.
+/// system; merged into BENCH_serve.json, a dated snapshot that nothing
+/// gates.
 
 #include <algorithm>
 #include <chrono>
@@ -45,8 +46,8 @@ double percentile(std::vector<double> xs, double q) {
 }
 
 /// BENCH_serve.json merge, line-for-line compatible with the harness
-/// report format (tools/bench_compare.py keys rows on bench/workers and
-/// ignores the extra latency/epoch columns).
+/// report format (rows keyed on bench/workers, plus latency and epoch
+/// columns).
 void append_serve_json(const std::string& path, const std::string& bench,
                        const std::vector<ServeTiming>& timings) {
   std::vector<std::string> records;

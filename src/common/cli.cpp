@@ -19,7 +19,7 @@ void CliParser::add_flag(std::string name, std::string default_value,
 void CliParser::add_bool(std::string name, bool default_value,
                          std::string help) {
   Flag flag;
-  flag.value = default_value ? "1" : "0";
+  flag.value.assign(1, default_value ? '1' : '0');
   flag.default_value = flag.value;
   flag.help = std::move(help);
   flag.is_bool = true;
@@ -59,7 +59,8 @@ bool CliParser::parse(int argc, const char* const* argv) {
     }
     Flag& flag = it->second;
     if (flag.is_bool) {
-      flag.value = negated ? "0" : (value.value_or("1") == "0" ? "0" : "1");
+      const bool off = negated || value.value_or("1") == "0";
+      flag.value.assign(1, off ? '0' : '1');
       continue;
     }
     if (!value) {

@@ -50,7 +50,8 @@ struct Degradation {
 
 // --- per-operation options ---------------------------------------------------
 // Built for designated initializers: sys.locate(id, v, {.walk_limit = 16}).
-// `from` always defaults to a uniformly random alive node.
+// An unset `from` defaults to a uniformly random alive node; a pinned one
+// draws nothing from the rng.
 
 struct PublishOptions {
   std::optional<overlay::NodeId> from = std::nullopt;

@@ -39,9 +39,6 @@ inline constexpr std::size_t kFirstWriteAlternative = 4;
 
 EpochEngine::EpochEngine(Meteorograph& system, EpochOptions options)
     : system_(system), options_(options) {
-  // The LSI projection cache fills lazily under top_k_lsi, so parallel
-  // readers of one node would race the fill.
-  METEO_EXPECTS(system_.config().local_ranking != LocalRanking::kLsi);
   if (options_.workers == 0) {
     options_.workers =
         std::max<std::size_t>(1, std::thread::hardware_concurrency());

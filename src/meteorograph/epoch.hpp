@@ -128,10 +128,7 @@ class EpochEngine {
   };
 
   /// Binds to `system` for the engine's lifetime (non-owning). The pool
-  /// is created once here, not per window. The LSI ranking mode fills a
-  /// per-node projection cache under reads, so it cannot serve parallel
-  /// readers.
-  /// \pre config.local_ranking != kLsi
+  /// is created once here, not per window.
   explicit EpochEngine(Meteorograph& system, EpochOptions options = {});
 
   EpochEngine(const EpochEngine&) = delete;

@@ -436,6 +436,13 @@ class Meteorograph {
     std::vector<overlay::RouteResult> extra_routes;
   };
 
+  /// An op's source node: `from` when pinned, else a uniformly random
+  /// alive node. Only the unpinned case draws from `rng`.
+  [[nodiscard]] overlay::NodeId source_node(
+      const std::optional<overlay::NodeId>& from, Rng& rng) const {
+    return from.has_value() ? *from : overlay_.random_alive(rng);
+  }
+
   // Read-only operation cores. No membership changes, no metric-registry
   // writes, no facade-RNG draws: safe to run concurrently against the
   // frozen overlay snapshot with a caller-owned RNG substream.

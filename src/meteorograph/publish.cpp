@@ -40,7 +40,7 @@ Meteorograph::PublishPlan Meteorograph::plan_publish(
 
   // Step 1-2 (Fig. 2): route the publish request to the node whose key is
   // closest to the item's (primary) hash key.
-  plan.source = options.from.value_or(overlay_.random_alive(rng));
+  plan.source = source_node(options.from, rng);
   if (tracer_ != nullptr) {
     plan.span.open(obs::OpKind::kPublish, plan.source, plan.key);
     if (strategy_->records_naming()) plan.span.set_naming(strategy_->name());

@@ -20,8 +20,7 @@ RangePublishResult Meteorograph::publish_attribute(
   begin_operation();
   const AttributeSpace& space = attributes_.space(attribute);
   const overlay::Key key = space.key_of(value);
-  const overlay::NodeId source =
-      options.from.value_or(overlay_.random_alive(rng_));
+  const overlay::NodeId source = source_node(options.from, rng_);
   obs::SpanRecorder span;
   if (tracer_ != nullptr) span.open(obs::OpKind::kRangePublish, source, key);
   const overlay::RouteResult route =
@@ -52,8 +51,7 @@ RangeSearchResult Meteorograph::range_search_op(
   const overlay::Key key_lo = space.key_of(lo);
   const overlay::Key key_hi = space.key_of(hi);
 
-  const overlay::NodeId source =
-      options.from.value_or(overlay_.random_alive(rng));
+  const overlay::NodeId source = source_node(options.from, rng);
   if (tracer_ != nullptr) {
     trace.span.open(obs::OpKind::kRangeSearch, source, key_lo);
   }

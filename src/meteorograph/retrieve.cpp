@@ -35,8 +35,7 @@ RetrieveResult Meteorograph::retrieve_op(const vsm::SparseVector& query,
   std::vector<overlay::Key>& probes = scratch.probes;
   probes.clear();
   strategy_->probe_keys(query, probes);
-  const overlay::NodeId source =
-      options.from.value_or(overlay_.random_alive(rng));
+  const overlay::NodeId source = source_node(options.from, rng);
   if (tracer_ != nullptr) {
     trace.span.open(obs::OpKind::kRetrieve, source, probes.front());
     if (strategy_->records_naming()) trace.span.set_naming(strategy_->name());
@@ -183,8 +182,7 @@ LocateResult Meteorograph::locate_op(vsm::ItemId id,
   std::vector<overlay::Key>& probes = scratch.probes;
   probes.clear();
   strategy_->probe_keys(vector, probes);
-  const overlay::NodeId source =
-      options.from.value_or(overlay_.random_alive(rng));
+  const overlay::NodeId source = source_node(options.from, rng);
   if (tracer_ != nullptr) {
     trace.span.open(obs::OpKind::kLocate, source, probes.front());
     if (strategy_->records_naming()) trace.span.set_naming(strategy_->name());

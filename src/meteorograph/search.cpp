@@ -50,8 +50,7 @@ SearchResult Meteorograph::search_op(std::span<const vsm::KeywordId> keywords,
   const overlay::Key start_key =
       first_hop_.smallest_matching_key(query).value_or(fallback);
 
-  const overlay::NodeId source =
-      options.from.value_or(overlay_.random_alive(rng));
+  const overlay::NodeId source = source_node(options.from, rng);
   if (tracer_ != nullptr) {
     trace.span.open(obs::OpKind::kSimilaritySearch, source, start_key);
   }

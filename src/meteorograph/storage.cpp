@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/assert.hpp"
+#include "vsm/lsi.hpp"
 
 namespace meteo::core {
 
@@ -12,7 +13,6 @@ void AngleStore::insert(StoredEntry entry) {
   const auto it = by_key_.emplace(entry.raw_key, id);
   meta_.emplace(id, Meta{it, next_order_++});
   index_.insert(id, std::move(entry.vector));
-  invalidate_lsi();
 }
 
 const vsm::SparseVector* AngleStore::vector_of(vsm::ItemId id) const {
@@ -29,7 +29,6 @@ void AngleStore::detach(vsm::ItemId id) {
 bool AngleStore::erase(vsm::ItemId id) {
   if (!index_.erase(id)) return false;
   detach(id);
-  invalidate_lsi();
   return true;
 }
 
@@ -71,7 +70,6 @@ Eviction AngleStore::evict(const StoredEntry& incoming,
   out.side = out.entry.raw_key <= incoming.raw_key ? EvictSide::kLow
                                                    : EvictSide::kHigh;
   detach(victim);
-  invalidate_lsi();
   return out;
 }
 
@@ -79,19 +77,13 @@ std::vector<vsm::ScoredItem> AngleStore::top_k_lsi(
     const vsm::SparseVector& query, std::size_t k, std::size_t rank,
     std::uint64_t seed) const {
   if (index_.empty() || k == 0) return {};
-  if (!lsi_model_.has_value() || lsi_version_ != version_ ||
-      lsi_rank_ != rank) {
-    std::vector<vsm::StoredItem> docs;
-    docs.reserve(index_.size());
-    for (const auto& [key, id] : by_key_) {
-      docs.push_back(vsm::StoredItem{id, *index_.vector_of(id)});
-    }
-    Rng rng(seed ^ version_);
-    lsi_model_.emplace(vsm::LsiModel::build(docs, rank, rng));
-    lsi_version_ = version_;
-    lsi_rank_ = rank;
+  std::vector<vsm::StoredItem> docs;
+  docs.reserve(index_.size());
+  for (const auto& [key, id] : by_key_) {
+    docs.push_back(vsm::StoredItem{id, *index_.vector_of(id)});
   }
-  return lsi_model_->top_k(query, k);
+  Rng rng(seed);
+  return vsm::LsiModel::build(docs, rank, rng).top_k(query, k);
 }
 
 void AngleStore::top_k(const vsm::SparseVector& query, std::size_t k,

@@ -18,7 +18,6 @@
 
 #include <cstdint>
 #include <map>
-#include <optional>
 #include <span>
 #include <unordered_map>
 #include <vector>
@@ -26,7 +25,6 @@
 #include "meteorograph/config.hpp"
 #include "overlay/key_space.hpp"
 #include "vsm/local_index.hpp"
-#include "vsm/lsi.hpp"
 #include "vsm/sparse_vector.hpp"
 #include "vsm/types.hpp"
 
@@ -84,9 +82,10 @@ class AngleStore {
   void top_k(const vsm::SparseVector& query, std::size_t k,
              std::vector<vsm::ScoredItem>& out) const;
 
-  /// Top-k by latent-space cosine (§3.3's LSI option). The per-node LSI
-  /// model is built lazily and cached until the store mutates; `seed`
-  /// makes the randomized SVD deterministic.
+  /// Top-k by latent-space cosine (§3.3's LSI option). Each call builds
+  /// the node's LSI model from its current items and caches nothing, so
+  /// concurrent readers of one node share no state; `seed` makes the
+  /// randomized SVD deterministic.
   [[nodiscard]] std::vector<vsm::ScoredItem> top_k_lsi(
       const vsm::SparseVector& query, std::size_t k, std::size_t rank,
       std::uint64_t seed) const;
@@ -118,8 +117,6 @@ class AngleStore {
     std::uint64_t order = 0;     ///< insertion sequence (kFifo)
   };
 
-  void invalidate_lsi() noexcept { ++version_; }
-
   /// Removes `id` from the key map and metadata (not the vector index).
   void detach(vsm::ItemId id);
 
@@ -127,12 +124,6 @@ class AngleStore {
   std::unordered_map<vsm::ItemId, Meta> meta_;
   vsm::LocalIndex index_;  ///< owns the vectors + inverted postings
   std::uint64_t next_order_ = 0;
-
-  /// LSI cache: rebuilt when the store version moves past the cached one.
-  std::uint64_t version_ = 0;
-  mutable std::uint64_t lsi_version_ = ~std::uint64_t{0};
-  mutable std::size_t lsi_rank_ = 0;
-  mutable std::optional<vsm::LsiModel> lsi_model_;
 };
 
 }  // namespace meteo::core

@@ -6,14 +6,15 @@
 /// linear node order, always advancing the frontier whose next node is
 /// closer to the target key. Each advance is one overlay hop (and one
 /// message, sent through the overlay's fault-aware deliver()). The walk
-/// traverses overlay *membership*, which is not epoch-versioned — only
-/// the per-node stores are (DESIGN.md §11); read ops pin a store snapshot
-/// but walk whatever neighbors are alive when the op runs. It observes
-/// only *live* leaf pointers, so after unrepaired failures it stops at
-/// the first dead neighbor on a side — exactly the reachability loss the
-/// paper's §4.3 measures. Under message faults a side whose next neighbor
-/// exhausted its retries is likewise closed (faulted() reports it, so
-/// callers can flag the operation's result as partial).
+/// traverses live overlay membership and reads live stores: it walks
+/// whatever neighbors are alive when the op runs, and a sealed window
+/// runs every read before its first write (DESIGN.md §11), so neither
+/// changes under a read. It observes only *live* leaf pointers, so after
+/// unrepaired failures it stops at the first dead neighbor on a side —
+/// exactly the reachability loss the paper's §4.3 measures. Under message
+/// faults a side whose next neighbor exhausted its retries is likewise
+/// closed (faulted() reports it, so callers can flag the operation's
+/// result as partial).
 ///
 /// The walk itself performs no heap allocation — all state is a handful
 /// of scalars — which is what keeps the warm read path allocation-free

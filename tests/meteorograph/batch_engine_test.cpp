@@ -421,6 +421,39 @@ TEST(BatchEngine, WithdrawHeavySealedWindowsMatchFacade) {
   }
 }
 
+// LSI ranking builds a node's model inside each read and caches nothing,
+// so a sealed window's parallel retrieves may rank on one node at once
+// and still equal the facade's.
+TEST(BatchEngine, LsiRetrieveSealedWindowMatchesFacade) {
+  const TestWorkload wl = make_workload(120, 24);
+  SystemConfig cfg = small_config(30);
+  cfg.local_ranking = LocalRanking::kLsi;
+  cfg.lsi_rank = 4;
+  Meteorograph facade_sys(cfg, wl.sample, 24);
+  Meteorograph engine_sys(cfg, wl.sample, 24);
+  const overlay::NodeId source = 0;
+  for (vsm::ItemId id = 0; id < wl.vectors.size(); ++id) {
+    for (Meteorograph* sys : {&facade_sys, &engine_sys}) {
+      ASSERT_TRUE(sys->publish(id, wl.vectors[id], {.from = source}).success);
+    }
+  }
+
+  EpochEngine engine(engine_sys, {.workers = 2});
+  std::vector<RetrieveResult> want;
+  std::size_t hits = 0;
+  for (vsm::ItemId id = 0; id < wl.vectors.size(); id += 3) {
+    (void)engine.submit(RetrieveOp{&wl.vectors[id], 5, {.from = source}});
+    want.push_back(facade_sys.retrieve(wl.vectors[id], 5, {.from = source}));
+    hits += want.back().items.size();
+  }
+  EXPECT_GT(hits, 0u);
+  const EpochEngine::SealedEpoch sealed = engine.seal();
+  ASSERT_EQ(sealed.results.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    expect_equal(std::get<RetrieveResult>(sealed.results[i]), want[i], i);
+  }
+}
+
 /// One op of a mixed window, replayable on the engine and on the facade.
 struct MixedOp {
   enum class Kind { kLocate, kRetrieve, kSearch, kRange, kPublish, kWithdraw,

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <set>
+#include <span>
 #include <vector>
 
 #include "common/stats.hpp"
@@ -317,6 +318,34 @@ TEST(Meteorograph, DeterministicAcrossRuns) {
     return fp;
   };
   EXPECT_EQ(fingerprint(), fingerprint());
+}
+
+// A pinned `from` is the op's source, so the op draws nothing: the
+// facade's shared stream stays put, and an unpinned op's source does not
+// depend on how many pinned ops ran before it.
+TEST(Meteorograph, PinnedSourceLeavesRngUnchanged) {
+  const TestWorkload wl = make_workload(60, 18);
+  Meteorograph sys(small_config(LoadBalanceMode::kUnusedHashSpace), wl.sample,
+                   18);
+  const AttributeId attr = sys.register_attribute(0.0, 100.0);
+  const overlay::NodeId source = 0;
+  const Rng before = sys.rng();
+  for (vsm::ItemId id = 0; id < 60; ++id) {
+    ASSERT_TRUE(sys.publish(id, wl.vectors[id], {.from = source}).success);
+  }
+  EXPECT_FALSE(sys.retrieve(wl.vectors[1], 3, {.from = source}).items.empty());
+  EXPECT_TRUE(sys.locate(2, wl.vectors[2], {.from = source}).found);
+  const vsm::KeywordId keyword = wl.vectors[5].entries()[0].keyword;
+  const std::span<const vsm::KeywordId> keywords(&keyword, 1);
+  EXPECT_FALSE(
+      sys.similarity_search(keywords, 4, {.from = source}).items.empty());
+  EXPECT_TRUE(sys.withdraw(3, wl.vectors[3], {.from = source}).removed);
+  (void)sys.publish_attribute(4, attr, 42.0, {.from = source});
+  EXPECT_EQ(sys.range_search(attr, 40.0, 50.0, {.from = source}).matches.size(),
+            1u);
+
+  Rng expected = before;
+  for (int i = 0; i < 4; ++i) EXPECT_EQ(sys.rng()(), expected());
 }
 
 TEST(Meteorograph, MetricsAccumulate) {

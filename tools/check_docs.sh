@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Documentation-coherence gate. Five checks:
 #
-#   1. Every BENCH_*.json artifact named in docs/ or README.md has a
-#      committed baseline under tools/baselines/.
+#   1. Every BENCH_*.json artifact named in docs/ or README.md exists
+#      at the repo root.
 #   2. Lint rule ids are bidirectionally coherent: every id (R1, R2,
 #      ...) cited in docs/ or DESIGN.md §10 exists in
 #      tools/meteo_lint.py's RULES table, and every id RULES defines
@@ -41,8 +41,8 @@ if [[ ${#bench_names[@]} -eq 0 ]]; then
   problem "extracted no BENCH_*.json names from docs/ (pattern drift?)"
 fi
 for b in "${bench_names[@]}"; do
-  if [[ ! -f "tools/baselines/${b}" ]]; then
-    problem "docs name ${b} but tools/baselines/${b} does not exist"
+  if [[ ! -f "${b}" ]]; then
+    problem "docs name ${b} but it does not exist at the repo root"
   fi
 done
 

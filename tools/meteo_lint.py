@@ -64,15 +64,12 @@ Every suppression requires a non-empty reason; `--list-suppressions`
 prints the audited inventory. A suppression that matches no violation
 is itself an error (stale suppressions rot).
 
-Engines: with python-libclang available the checker walks the clang
-AST for R1/R4/R7 (exact canonical types, real declaration /
-member / lambda-capture / return-statement dataflow); otherwise a
-token-level engine covers all rules with the name/shape heuristics
-documented next to each check. `--engine auto` (default) picks
-libclang when importable, falling back silently — rule semantics and
-fixtures are identical either way, and the selftest runs on whichever
-engine is live so neither rule can silently go dead. R2/R3/R5 are
-keyword-shaped and always run on tokens.
+Engine: one token-level engine covers every rule. It lexes each file
+(comments and string literals blanked) and applies the name/shape
+heuristics documented next to each check. Unordered-container names
+resolve per file, except header-declared and `member_`-style names,
+which are visible across the scanned set. It needs only the Python
+standard library, so the same engine runs on every host and in CI.
 
 Exit status: 0 clean, 1 violations, 2 usage/internal error.
 """
@@ -162,8 +159,7 @@ R6_PATTERN = re.compile(r"\babsolute_angle\w*\b")
 # std::string_view by construction, RoutingTableView (spans over pooled
 # NodePool runs), std::pmr containers
 # (they borrow their arena's memory_resource), and references to the
-# per-thread OpScratch. The token engine matches type *spellings*; the
-# clang engine matches canonical types.
+# per-thread OpScratch. The engine matches type *spellings*.
 BORROWED_TYPE_RE = re.compile(
     r"\bstd\s*::\s*span\s*<"
     r"|\bstd\s*::\s*(?:basic_)?string_view\b"
@@ -254,7 +250,7 @@ class FileReport:
 
 
 # --------------------------------------------------------------------------
-# Lexing helpers (token engine)
+# Lexing helpers
 # --------------------------------------------------------------------------
 
 def split_code_comment(line: str, in_block: bool) -> tuple[str, str, bool]:
@@ -512,13 +508,11 @@ def _range_for_range_expr(head: str) -> str | None:
 # --------------------------------------------------------------------------
 
 class TokenEngine:
-    """All five rules on lexed lines; R1/R4 use name/shape heuristics.
+    """R1, R4 and R7 on lexed lines, by name/shape heuristics.
 
     The unordered-name set is built globally across the scanned file set
     so a member declared in a header fires on iteration in the .cpp.
     """
-
-    name = "token"
 
     def __init__(self) -> None:
         # Names visible across the scanned set: declared in a header
@@ -752,219 +746,6 @@ class TokenEngine:
 
 
 # --------------------------------------------------------------------------
-# libclang engine (R1/R4 on the AST; falls back to tokens on any failure)
-# --------------------------------------------------------------------------
-
-class ClangEngine(TokenEngine):
-    """AST-exact R1/R4; inherits collect() so fallback stays warm.
-
-    Uses python-libclang when importable. Parsing failures on any file
-    degrade that file to the token checks rather than aborting the run.
-    """
-
-    name = "clang"
-
-    def __init__(self, compile_args: list[str] | None = None) -> None:
-        super().__init__()
-        import clang.cindex  # noqa: F401 — raises ImportError when absent
-        self._cindex = sys.modules["clang.cindex"]
-        self._args = compile_args or ["-std=c++20", "-xc++"]
-
-    def _is_unordered_type(self, type_obj) -> bool:
-        spelling = type_obj.get_canonical().spelling
-        return "unordered_map" in spelling or "unordered_set" in spelling \
-            or "unordered_multimap" in spelling \
-            or "unordered_multiset" in spelling
-
-    def check_r1(self, path: str, lines: list[Line],
-                 report: FileReport) -> None:
-        ci = self._cindex
-        try:
-            tu = ci.Index.create().parse(path, args=self._args)
-        except Exception:  # parse failure → token fallback for this file
-            super().check_r1(path, lines, report)
-            return
-
-        def walk(node):
-            if node.kind == ci.CursorKind.CXX_FOR_RANGE_STMT:
-                children = list(node.get_children())
-                # The range initializer is the last non-body child's expr;
-                # probe every child's type — exact, no name heuristics.
-                for child in children[:-1]:
-                    if child.type and self._is_unordered_type(child.type):
-                        add_violation(
-                            report, path, node.location.line, "R1",
-                            "range-for over unordered container "
-                            f"of type `{child.type.spelling}`")
-                        break
-            walk_children(node)
-
-        def walk_children(node):
-            for child in node.get_children():
-                if child.location.file and \
-                        os.path.samefile(str(child.location.file), path):
-                    walk(child)
-
-        try:
-            walk_children(tu.cursor)
-        except Exception:
-            super().check_r1(path, lines, report)
-
-    def check_r4(self, path: str, lines: list[Line],
-                 report: FileReport) -> None:
-        ci = self._cindex
-        try:
-            tu = ci.Index.create().parse(path, args=self._args)
-        except Exception:
-            super().check_r4(path, lines, report)
-            return
-
-        def walk(node):
-            if node.kind == ci.CursorKind.VAR_DECL:
-                storage = node.storage_class
-                tls = node.tls_kind != ci.TLSKind.NONE \
-                    if hasattr(node, "tls_kind") else False
-                if tls:
-                    add_violation(report, path, node.location.line, "R4",
-                                  "thread_local state")
-                elif storage == ci.StorageClass.STATIC and \
-                        not node.type.is_const_qualified():
-                    add_violation(report, path, node.location.line, "R4",
-                                  "mutable static state")
-            for child in node.get_children():
-                if child.location.file and \
-                        os.path.samefile(str(child.location.file), path):
-                    walk(child)
-
-        try:
-            walk(tu.cursor)
-        except Exception:
-            super().check_r4(path, lines, report)
-
-    # -- R7 on the AST -----------------------------------------------------
-    # Real dataflow instead of spellings: field declarations, static
-    # variable declarations, lambda captures inside deferred-sink call
-    # expressions, and return statements are resolved through canonical
-    # types. Any parse or walk failure degrades the file to the token
-    # checks, so the rules never silently go dead.
-
-    _BORROWED_SPELLINGS = ("std::span", "basic_string_view",
-                           "RoutingTableView", "OpScratch &",
-                           "OpScratch *", "std::pmr::")
-    _OWNING_SPELLINGS = ("std::vector", "std::basic_string", "std::array",
-                         "std::deque", "std::map", "std::set",
-                         "std::unordered_map", "std::unordered_set")
-    _DEFER_SINKS = ("schedule_at", "schedule_in", "submit")
-
-    def _is_borrowed_type(self, type_obj) -> bool:
-        spelling = type_obj.get_canonical().spelling
-        return any(s in spelling for s in self._BORROWED_SPELLINGS)
-
-    def _is_owning_type(self, type_obj) -> bool:
-        spelling = type_obj.get_canonical().spelling
-        if spelling.endswith("&") or spelling.endswith("*"):
-            return False
-        return any(spelling.startswith(s) or f" {s}" in spelling
-                   for s in self._OWNING_SPELLINGS) or "[" in spelling
-
-    def _in_file(self, node, path: str) -> bool:
-        return node.location.file is not None and \
-            os.path.samefile(str(node.location.file), path)
-
-    def check_r7(self, path: str, rel: str, lines: list[Line],
-                 report: FileReport) -> None:
-        ci = self._cindex
-        try:
-            tu = ci.Index.create().parse(path, args=self._args)
-
-            def record_name(node) -> str:
-                parent = node.semantic_parent
-                return parent.spelling if parent is not None else ""
-
-            def lambda_ref_captures(node) -> bool:
-                # Tokens of the capture list: everything up to the
-                # first ']' of the lambda introducer.
-                toks = []
-                for t in node.get_tokens():
-                    toks.append(t.spelling)
-                    if t.spelling == "]":
-                        break
-                return "&" in toks or "this" in toks
-
-            def walk(node, in_sink: bool):
-                k = node.kind
-                if k == ci.CursorKind.FIELD_DECL and \
-                        self._is_borrowed_type(node.type):
-                    owner = record_name(node)
-                    if owner not in R7_VIEW_AGGREGATES and \
-                            not owner.endswith("View"):
-                        add_violation(
-                            report, path, node.location.line, "R7",
-                            f"borrowed view stored as a data member of "
-                            f"`{owner}`")
-                elif k == ci.CursorKind.VAR_DECL and \
-                        node.storage_class == ci.StorageClass.STATIC and \
-                        self._is_borrowed_type(node.type) and \
-                        not node.type.is_const_qualified():
-                    add_violation(report, path, node.location.line, "R7",
-                                  "borrowed view in static storage")
-                elif k == ci.CursorKind.LAMBDA_EXPR and in_sink and \
-                        lambda_ref_captures(node):
-                    add_violation(
-                        report, path, node.location.line, "R7",
-                        "lambda captured by reference/this into deferred "
-                        "work — the action outlives this scope")
-                sink = in_sink or (
-                    k == ci.CursorKind.CALL_EXPR and
-                    node.spelling in self._DEFER_SINKS)
-                for child in node.get_children():
-                    if self._in_file(child, path):
-                        walk(child, sink)
-
-            def check_returns(fn):
-                if not self._is_borrowed_type(fn.result_type):
-                    return
-                locals_owned = set()
-
-                def scan(node):
-                    # PARM_DECL is a distinct kind, so VAR_DECL already
-                    # excludes parameters (borrows over caller storage).
-                    if node.kind == ci.CursorKind.VAR_DECL and \
-                            self._is_owning_type(node.type):
-                        locals_owned.add(node.spelling)
-                    elif node.kind == ci.CursorKind.RETURN_STMT:
-                        for ref in node.walk_preorder():
-                            if ref.kind == ci.CursorKind.DECL_REF_EXPR and \
-                                    ref.spelling in locals_owned:
-                                add_violation(
-                                    report, path, node.location.line, "R7",
-                                    f"returns a borrowed view referring "
-                                    f"to local `{ref.spelling}`")
-                                return
-                    for child in node.get_children():
-                        scan(child)
-
-                scan(fn)
-
-            def walk_fns(node):
-                if node.kind in (ci.CursorKind.FUNCTION_DECL,
-                                 ci.CursorKind.CXX_METHOD,
-                                 ci.CursorKind.FUNCTION_TEMPLATE) and \
-                        node.is_definition():
-                    check_returns(node)
-                for child in node.get_children():
-                    if self._in_file(child, path):
-                        walk_fns(child)
-
-            for child in tu.cursor.get_children():
-                if self._in_file(child, path):
-                    walk(child, False)
-                    walk_fns(child)
-        except Exception:
-            super().check_r7(path, rel, lines, report)
-
-
-# --------------------------------------------------------------------------
 # Keyword rules (engine-independent)
 # --------------------------------------------------------------------------
 
@@ -1080,18 +861,6 @@ def iter_cmake_files(repo_root: str) -> list[str]:
     return out
 
 
-def make_engine(kind: str) -> TokenEngine:
-    if kind in ("auto", "clang"):
-        try:
-            return ClangEngine()
-        except Exception:
-            if kind == "clang":
-                raise SystemExit(
-                    "meteo-lint: --engine clang requested but python "
-                    "libclang is unavailable (pip package `libclang`)")
-    return TokenEngine()
-
-
 def scan(paths: list[str], repo_root: str, engine: TokenEngine,
          pretend_rel: str | None = None,
          check_cmake_files: bool = True) -> FileReport:
@@ -1164,7 +933,7 @@ SCENARIO_FIXTURES = [
 ]
 
 
-def selftest(repo_root: str, engine_kind: str) -> int:
+def selftest(repo_root: str) -> int:
     fixture_dir = os.path.join(repo_root, "tests", "lint")
     if not os.path.isdir(fixture_dir):
         print(f"meteo-lint selftest: missing fixture dir {fixture_dir}",
@@ -1176,8 +945,8 @@ def selftest(repo_root: str, engine_kind: str) -> int:
     pretend = "src/meteorograph/fixture.cpp"
 
     def run_one(fixture: str) -> FileReport:
-        engine = make_engine(engine_kind)
-        return scan([os.path.join(fixture_dir, fixture)], repo_root, engine,
+        return scan([os.path.join(fixture_dir, fixture)], repo_root,
+                    TokenEngine(),
                     pretend_rel=pretend, check_cmake_files=False)
 
     pairs = [(rule, f"{rule.lower()}_violation.cpp",
@@ -1231,8 +1000,7 @@ def selftest(repo_root: str, engine_kind: str) -> int:
     print(f"meteo-lint selftest OK: all {len(RULES)} rules (plus "
           f"{len(SCENARIO_FIXTURES)} scenario pair"
           f"{'s' if len(SCENARIO_FIXTURES) != 1 else ''}) fire on their "
-          f"violation fixtures and stay quiet on the clean ones "
-          f"(engine: {make_engine(engine_kind).name})")
+          f"violation fixtures and stay quiet on the clean ones")
     return 0
 
 
@@ -1247,8 +1015,6 @@ def main(argv: list[str]) -> int:
                         help="files or directories to scan (default: src/)")
     parser.add_argument("--root", default=None,
                         help="repo root (default: parent of this script)")
-    parser.add_argument("--engine", choices=("auto", "clang", "token"),
-                        default="auto")
     parser.add_argument("--list-suppressions", action="store_true",
                         help="print the audited suppression inventory")
     parser.add_argument("--selftest", action="store_true",
@@ -1259,11 +1025,10 @@ def main(argv: list[str]) -> int:
         os.path.dirname(os.path.abspath(__file__)))
 
     if args.selftest:
-        return selftest(repo_root, args.engine)
+        return selftest(repo_root)
 
     roots = args.paths or [os.path.join(repo_root, "src")]
-    engine = make_engine(args.engine)
-    report = scan(iter_source_files(roots), repo_root, engine)
+    report = scan(iter_source_files(roots), repo_root, TokenEngine())
 
     if args.list_suppressions:
         sups = sorted(report.suppressions, key=lambda s: (s.path, s.line))
@@ -1282,8 +1047,8 @@ def main(argv: list[str]) -> int:
         status = 1
     if status == 0 and not args.list_suppressions:
         n = len(report.suppressions)
-        print(f"meteo-lint: clean ({engine.name} engine, "
-              f"{n} audited suppression{'s' if n != 1 else ''})")
+        print(f"meteo-lint: clean "
+              f"({n} audited suppression{'s' if n != 1 else ''})")
     return status
 
 
