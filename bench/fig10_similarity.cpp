@@ -8,9 +8,10 @@
 /// (b) Total messages to discover k similar items: linear in k with slope
 ///     (1/c) * O(log N).
 ///
-/// Both parts run as similarity-search batches through the EpochEngine; a
-/// final section times a search batch at 1/2/4/8 workers and merges the
-/// throughput into BENCH_batch.json.
+/// Both parts run as similarity-search batches through the EpochEngine.
+/// Given `--batch-json PATH`, a final section times a search batch at
+/// 1/2/4/8 workers and merges the throughput into PATH (BENCH_batch.json
+/// for the dated snapshot).
 ///
 /// Keyword choice: following the paper's setup (matching-item counts are
 /// "smaller than the system size"), the n-th popular keyword is taken
@@ -29,7 +30,7 @@ int main(int argc, char** argv) {
   bench::add_common_flags(cli);
   cli.add_flag("nodes10", "10000", "overlay size for this figure");
   cli.add_flag("capacity-factor", "8", "node capacity as multiple of c");
-  cli.add_flag("batch-json", "BENCH_batch.json",
+  cli.add_flag("batch-json", "",
                "throughput report path (empty = skip the timing sweep)");
   if (!cli.parse(argc, argv)) return 1;
   bench::ExperimentFlags flags = bench::read_common_flags(cli);

@@ -3,9 +3,10 @@
 /// the three variants None / Unused Hash Space / + Hot Regions. All three
 /// must track O(log N).
 ///
-/// The query sweep runs as locate batches through the EpochEngine; a final
-/// section times the same batch at 1/2/4/8 workers and merges the
-/// throughput into BENCH_batch.json.
+/// The query sweep runs as locate batches through the EpochEngine. Given
+/// `--batch-json PATH`, a final section times the same batch at 1/2/4/8
+/// workers and merges the throughput into PATH (BENCH_batch.json for the
+/// dated snapshot).
 
 #include <cmath>
 #include <string>
@@ -21,7 +22,7 @@ int main(int argc, char** argv) {
   bench::add_common_flags(cli);
   cli.add_flag("node-counts", "1000,2500,5000,7500,10000",
                "comma-separated overlay sizes");
-  cli.add_flag("batch-json", "BENCH_batch.json",
+  cli.add_flag("batch-json", "",
                "throughput report path (empty = skip the timing sweep)");
   if (!cli.parse(argc, argv)) return 1;
   const bench::ExperimentFlags flags = bench::read_common_flags(cli);

@@ -2,10 +2,11 @@
 /// N = 10^4, 10^5, 10^6 with bulk_join(), reports the join rate, the
 /// compact-layout bytes/node, and peak RSS, then drives a Table 1
 /// mixed-operation workload (TraceStream baskets -> route + replica-home
-/// lookups) and an event-queue churn loop against each ring. Rows merge
-/// into BENCH_scale.json (harness format plus the memory fields
-/// bytes_per_node and peak_rss_bytes), a dated snapshot that nothing
-/// gates; ScaleSmoke bounds the bytes per node in tier 1.
+/// lookups) and an event-queue churn loop against each ring. Given
+/// `--out PATH`, the rows are written to PATH (BENCH_scale.json for the
+/// dated snapshot: harness format plus the memory fields bytes_per_node
+/// and peak_rss_bytes), which nothing gates; ScaleSmoke bounds the bytes
+/// per node in tier 1.
 ///
 /// Unlike the figure benches this one never materializes a trace or a
 /// Meteorograph: at 10^6 nodes the overlay substrate itself is the
@@ -131,7 +132,7 @@ int main(int argc, char** argv) {
                "Table 1 mixed operations per overlay size");
   cli.add_flag("events", "1000000", "event-queue schedule/fire cycles");
   cli.add_flag("seed", "1", "rng seed");
-  cli.add_flag("out", "BENCH_scale.json", "report path");
+  cli.add_flag("out", "", "report path (empty = print only)");
   cli.add_flag("csv", "", "unused (uniform flag surface)");
   if (!cli.parse(argc, argv)) return 1;
 
@@ -252,7 +253,9 @@ int main(int argc, char** argv) {
                 static_cast<double>(ev_row.peak_rss) / (1024.0 * 1024.0));
   }
 
-  write_json(cli.get("out"), rows);
-  std::printf("wrote %s\n", cli.get("out").c_str());
+  if (!cli.get("out").empty()) {
+    write_json(cli.get("out"), rows);
+    std::printf("wrote %s\n", cli.get("out").c_str());
+  }
   return 0;
 }

@@ -6,8 +6,8 @@
 /// message-drop plan keeps the timeout/deadline accounting on a live
 /// path. The schedule is derived once from the seed, so every worker
 /// count serves the identical request stream over an identically built
-/// system; merged into BENCH_serve.json, a dated snapshot that nothing
-/// gates.
+/// system. Given `--serve-json PATH`, the rows merge into PATH
+/// (BENCH_serve.json for the dated snapshot, which nothing gates).
 
 #include <algorithm>
 #include <chrono>
@@ -96,7 +96,7 @@ int main(int argc, char** argv) {
   cli.add_flag("deadline", "2.0",
                "per-op simulated timeout-wait budget in seconds");
   cli.add_flag("drop-rate", "0.02", "message drop rate during serving");
-  cli.add_flag("serve-json", "BENCH_serve.json",
+  cli.add_flag("serve-json", "",
                "throughput report path (empty = skip the report)");
   if (!cli.parse(argc, argv)) return 1;
   const bench::ExperimentFlags flags = bench::read_common_flags(cli);

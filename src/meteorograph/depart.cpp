@@ -9,6 +9,7 @@
 #include "common/assert.hpp"
 #include "meteorograph/meteorograph.hpp"
 #include "meteorograph/op_scratch.hpp"
+#include "obs/profile.hpp"
 
 namespace meteo::core {
 
@@ -19,6 +20,7 @@ DepartResult Meteorograph::depart_node(overlay::NodeId node) {
 }
 
 DepartResult Meteorograph::commit_depart(overlay::NodeId node) {
+  METEO_ZONE("op.depart");
   begin_operation();
   // Checked after the due crashes land: one of them may be this node.
   if (node >= overlay_.size() || !overlay_.is_alive(node) ||
@@ -39,44 +41,28 @@ DepartResult Meteorograph::commit_depart(overlay::NodeId node) {
   // closest-key decisions already reflect the departure when re-homing.
   NodeData state = std::move(node_data_[node]);
   node_data_[node] = NodeData{};
+  stored_items_ -= state.items.size();
   overlay_.leave(node);
 
   // Items: re-insert through the publish overflow path at the node now
-  // closest to each item's key (capacity is respected; an item may chain).
+  // closest to each item's key (capacity is respected; an item may chain,
+  // at most one forward per alive node).
   std::vector<StoredEntry> entries;
   state.items.for_each([&](const StoredEntry& e) { entries.push_back(e); });
   for (StoredEntry& entry : entries) {
     // Bucket migration: each copy re-homes where the strategy says it
     // belongs — the recomputed primary key under single-key strategies,
     // the copy's own bucket key (entry.raw_key) under LSH.
-    const overlay::Key key = strategy_->migration_key(entry);
-    overlay::NodeId cur = overlay_.closest_alive(key);
+    const overlay::NodeId start =
+        overlay_.closest_alive(strategy_->migration_key(entry));
     ++result.messages;  // the handoff transfer itself
-    StoredEntry moving = std::move(entry);
-    bool placed = false;
-    for (std::size_t guard = 0; guard < overlay_.alive_count(); ++guard) {
-      NodeData& data = node_data_[cur];
-      const std::size_t capacity = node_capacity_[cur];
-      if (capacity == 0 || data.items.size() < capacity) {
-        data.items.insert(std::move(moving));
-        placed = true;
-        break;
-      }
-      Eviction evicted = data.items.evict(moving, config_.eviction);
-      data.items.insert(std::move(moving));
-      overlay::NodeId next = evicted.side == EvictSide::kLow
-                                 ? overlay_.predecessor(cur)
-                                 : overlay_.successor(cur);
-      if (next == overlay::kInvalidNode) {
-        next = evicted.side == EvictSide::kLow ? overlay_.successor(cur)
-                                               : overlay_.predecessor(cur);
-      }
-      if (next == overlay::kInvalidNode) break;
-      moving = std::move(evicted.entry);
-      cur = next;
-      ++result.messages;
+    std::size_t forwards = 0;
+    overlay::NodeId stored_at = overlay::kInvalidNode;
+    if (chain_store(std::move(entry), start, overlay_.alive_count(), nullptr,
+                    forwards, stored_at)) {
+      ++result.items_transferred;
     }
-    if (placed) ++result.items_transferred;
+    result.messages += forwards;
   }
 
   // Replicas: re-home on the now-closest node holding no copy yet.

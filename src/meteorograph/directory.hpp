@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <span>
 #include <unordered_map>
 #include <utility>
@@ -46,14 +47,82 @@ struct DirectoryPointer {
 /// carrying a given keyword, so a search probes one bucket instead of
 /// scanning the node's whole directory on every visit.
 ///
-/// `remove()` unlinks a pointer from its keyword buckets and leaves a
-/// *hole*, so no other pointer moves; holes are compacted out in one
-/// rebuild once they make up half the store, so a removal costs
-/// amortized O(keywords). Removal finds its pointer through a per-item
-/// index of sequence numbers, which compaction preserves, so that index
-/// is never rebuilt.
+/// `remove()` marks a pointer's slot a *hole* and touches no keyword
+/// bucket, so no other pointer moves and a removal from a hot node does
+/// not shift its buckets; `candidates()` skips the holes. Holes are
+/// compacted out in one rebuild once they make up half the store, so a
+/// removal costs amortized O(keywords). Removal finds its pointer
+/// through a per-item index of sequence numbers, which compaction
+/// preserves, so that index is never rebuilt.
 class DirectoryStore {
+ private:
+  struct Stamp {
+    /// Per-store publication counter: ascending along pointers_, and kept
+    /// by compaction, so by_item_ never needs a rebuild.
+    std::uint64_t seq = 0;
+    /// Removed: the slot stays in its keyword buckets until compaction.
+    bool hole = false;
+  };
+
  public:
+  /// The live positions of one keyword bucket, ascending. Hole positions
+  /// are skipped; while the store has no holes the stamps are never read.
+  class Candidates {
+   public:
+    class iterator {
+     public:
+      using iterator_category = std::forward_iterator_tag;
+      using value_type = std::size_t;
+      using difference_type = std::ptrdiff_t;
+      using pointer = const std::size_t*;
+      using reference = const std::size_t&;
+
+      iterator() = default;
+      iterator(const std::size_t* at, const std::size_t* end,
+               const Stamp* stamps)
+          : at_(at), end_(end), stamps_(stamps) {
+        skip_holes();
+      }
+      reference operator*() const { return *at_; }
+      iterator& operator++() {
+        ++at_;
+        skip_holes();
+        return *this;
+      }
+      iterator operator++(int) {
+        iterator old = *this;
+        ++*this;
+        return old;
+      }
+      friend bool operator==(const iterator& a, const iterator& b) {
+        return a.at_ == b.at_;
+      }
+
+     private:
+      void skip_holes() {
+        if (stamps_ == nullptr) return;
+        while (at_ != end_ && stamps_[*at_].hole) ++at_;
+      }
+
+      const std::size_t* at_ = nullptr;
+      const std::size_t* end_ = nullptr;
+      const Stamp* stamps_ = nullptr;  ///< nullptr: the store has no holes
+    };
+
+    Candidates() = default;
+    Candidates(const std::vector<std::size_t>& bucket, const Stamp* stamps)
+        : first_(bucket.data()),
+          last_(bucket.data() + bucket.size()),
+          stamps_(stamps) {}
+    [[nodiscard]] iterator begin() const { return {first_, last_, stamps_}; }
+    [[nodiscard]] iterator end() const { return {last_, last_, stamps_}; }
+
+   private:
+    const std::size_t* first_ = nullptr;
+    const std::size_t* last_ = nullptr;
+    const Stamp* stamps_ = nullptr;
+  };
+
   void add(DirectoryPointer pointer) {
     const std::size_t position = pointers_.size();
     for (const vsm::KeywordId kw : pointer.keywords) {
@@ -64,8 +133,8 @@ class DirectoryStore {
     stamps_.push_back(Stamp{next_seq_++, false});
   }
 
-  /// Removes the earliest pointer for `item` (if present) by unlinking it,
-  /// which leaves a hole; the rest keep their relative order.
+  /// Removes the earliest pointer for `item` (if present) by marking its
+  /// slot a hole; the rest keep their positions.
   bool remove(vsm::ItemId item) {
     const auto [first, last] = by_item_.equal_range(item);
     if (first == last) return false;
@@ -75,10 +144,10 @@ class DirectoryStore {
         std::min_element(first, last, [](const auto& a, const auto& b) {
           return a.second < b.second;
         });
-    const std::size_t p = position_of(earliest->second);
+    stamps_[position_of(earliest->second)].hole = true;
     by_item_.erase(earliest);
-    unlink(p);
-    compact_if_half_holes();
+    ++holes_;
+    if (2 * holes_ >= pointers_.size()) compact();
     return true;
   }
 
@@ -96,11 +165,10 @@ class DirectoryStore {
   /// contains `keyword`, never a hole; empty when no pointer on this node
   /// carries it — the common case, since pointers for a keyword cluster
   /// near the raw keys of the vectors containing it.
-  [[nodiscard]] std::span<const std::size_t> candidates(
-      vsm::KeywordId keyword) const {
+  [[nodiscard]] Candidates candidates(vsm::KeywordId keyword) const {
     const auto it = by_keyword_.find(keyword);
     if (it == by_keyword_.end()) return {};
-    return it->second;
+    return {it->second, holes_ > 0 ? stamps_.data() : nullptr};
   }
 
   /// Moves every pointer out (handing off to surviving nodes on depart)
@@ -120,14 +188,6 @@ class DirectoryStore {
   }
 
  private:
-  struct Stamp {
-    /// Per-store publication counter: ascending along pointers_, and kept
-    /// by compaction, so by_item_ never needs a rebuild.
-    std::uint64_t seq = 0;
-    /// Unlinked by remove(): no keyword bucket lists the position.
-    bool hole = false;
-  };
-
   [[nodiscard]] std::size_t position_of(std::uint64_t seq) const {
     const auto it = std::lower_bound(
         stamps_.begin(), stamps_.end(), seq,
@@ -135,26 +195,9 @@ class DirectoryStore {
     return static_cast<std::size_t>(it - stamps_.begin());
   }
 
-  /// Unlinks the pointer at `p` from each of its keyword buckets (a
-  /// binary search apiece: buckets stay sorted by position) and leaves a
-  /// hole.
-  void unlink(std::size_t p) {
-    for (const vsm::KeywordId kw : pointers_[p].keywords) {
-      const auto bucket = by_keyword_.find(kw);
-      std::vector<std::size_t>& positions = bucket->second;
-      positions.erase(std::lower_bound(positions.begin(), positions.end(), p));
-      if (positions.empty()) by_keyword_.erase(bucket);
-    }
-    stamps_[p].hole = true;
-    ++holes_;
-  }
-
-  void compact_if_half_holes() {
-    if (2 * holes_ >= pointers_.size()) compact();
-  }
-
-  /// Sweeps out the holes. The survivors keep their relative order, so
-  /// `candidates()` still returns publication order.
+  /// Sweeps out the holes and rebuilds the keyword buckets without them.
+  /// The survivors keep their relative order, so `candidates()` still
+  /// returns publication order.
   void compact() {
     std::size_t w = 0;
     for (std::size_t i = 0; i < pointers_.size(); ++i) {

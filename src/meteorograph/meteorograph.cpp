@@ -8,6 +8,7 @@
 #include "common/zipf.hpp"
 #include "meteorograph/op_scratch.hpp"
 #include "obs/names.hpp"
+#include "obs/profile.hpp"
 
 namespace meteo::core {
 
@@ -99,11 +100,13 @@ void Meteorograph::begin_operation() {
 
 void Meteorograph::begin_batch() {
   METEO_EXPECTS(!batch_in_flight_);
+  METEO_ZONE("window.begin");
   begin_operation();  // crashes land once, at the batch boundary
-  // Storage gauge: O(total nodes) to compute, so snapshotted only at
-  // batch barriers, never per op (DESIGN.md §8).
+  // Storage gauge: a running count, but set only at batch barriers, never
+  // per op, so its value never depends on which ops committed first
+  // (DESIGN.md §8).
   metrics_.gauge(obs::names::kStoredItems)
-      .set(static_cast<double>(stored_item_count()));
+      .set(static_cast<double>(stored_items_));
   batch_in_flight_ = true;
 }
 
@@ -246,12 +249,6 @@ std::vector<std::size_t> Meteorograph::node_loads() const {
     loads.push_back(id < node_data_.size() ? node_data_[id].items.size() : 0);
   }
   return loads;
-}
-
-std::size_t Meteorograph::stored_item_count() const {
-  std::size_t total = 0;
-  for (const NodeData& d : node_data_) total += d.items.size();
-  return total;
 }
 
 const AngleStore& Meteorograph::store_of(overlay::NodeId id) const {

@@ -335,8 +335,12 @@ class Meteorograph {
   /// Storage capacity of a node (0 = unlimited). Heterogeneous when
   /// capability_weights is configured.
   [[nodiscard]] std::size_t capacity_of(overlay::NodeId id) const;
-  /// Total primary items currently stored.
-  [[nodiscard]] std::size_t stored_item_count() const;
+  /// Items held across every node's item store, dead nodes included: the
+  /// primary copies plus a multi-key strategy's extra copies. O(1): a
+  /// running count kept at every store change.
+  [[nodiscard]] std::size_t stored_item_count() const noexcept {
+    return stored_items_;
+  }
   [[nodiscard]] const AngleStore& store_of(overlay::NodeId id) const;
   [[nodiscard]] Rng& rng() noexcept { return rng_; }
 
@@ -506,10 +510,6 @@ class Meteorograph {
                                     const vsm::SparseVector& vector,
                                     obs::SpanRecorder* rec);
 
-  /// Walk iterator state: expands outward from a start node, alternating
-  /// sides by key distance.
-  struct Walker;
-
   SystemConfig config_;
   Rng rng_;
   std::unique_ptr<NamingStrategy> strategy_;
@@ -519,6 +519,8 @@ class Meteorograph {
   AttributeRegistry attributes_;
   std::vector<NodeData> node_data_;
   std::vector<std::size_t> node_capacity_;  // parallel to node_data_
+  /// Σ node_data_[i].items.size(), kept by every item-store change.
+  std::size_t stored_items_ = 0;
   obs::MetricRegistry metrics_;
   static constexpr std::size_t kOpKinds = 9;  // obs::OpKind cardinality
   std::array<OpSeries, kOpKinds> op_series_;

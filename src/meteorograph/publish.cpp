@@ -6,6 +6,7 @@
 #include "meteorograph/op_scratch.hpp"
 #include "meteorograph/walk.hpp"
 #include "obs/names.hpp"
+#include "obs/profile.hpp"
 
 namespace meteo::core {
 
@@ -46,6 +47,7 @@ Meteorograph::PublishPlan Meteorograph::plan_publish(
     if (strategy_->records_naming()) plan.span.set_naming(strategy_->name());
   }
   obs::SpanRecorder* const rec = plan.span.active() ? &plan.span : nullptr;
+  METEO_ZONE("publish.route");
   plan.route = overlay_.route(plan.source, plan.key, rec);
 
   // Extra strategy keys route in the plan phase too: routing is read-only
@@ -65,18 +67,21 @@ bool Meteorograph::chain_store(StoredEntry entry, overlay::NodeId start,
                                overlay::NodeId& stored_at) {
   // Step 3: store, overflow-chaining through closest neighbors when full.
   // The displaced item always moves toward the side of the band it belongs
-  // to, which keeps the global angle (or bucket) order intact.
+  // to, which keeps the global angle (or bucket) order intact. Every store
+  // change lands in stored_items_, so an item dropped at the hop limit
+  // leaves the count exact.
   overlay::NodeId cur = start;
   while (true) {
     NodeData& data = node_data_[cur];
     const std::size_t capacity = node_capacity_[cur];
     if (capacity == 0 || data.items.size() < capacity) {
-      data.items.insert(std::move(entry));
+      if (data.items.insert(std::move(entry))) ++stored_items_;
       stored_at = cur;
       return true;
     }
     Eviction evicted = data.items.evict(entry, config_.eviction);
-    data.items.insert(std::move(entry));
+    // The eviction took one item out; a replace-insert puts none back.
+    if (!data.items.insert(std::move(entry))) --stored_items_;
     overlay::NodeId next = evicted.side == EvictSide::kLow
                                ? overlay_.predecessor(cur)
                                : overlay_.successor(cur);
@@ -120,9 +125,12 @@ PublishResult Meteorograph::commit_publish(vsm::ItemId id,
       config_.publish_hop_limit > 0
           ? config_.publish_hop_limit
           : 16 * std::max<std::size_t>(overlay_.alive_count(), 1);
-  result.success =
-      chain_store(StoredEntry{id, order_key, vector}, plan.route.destination,
-                  hop_budget, rec, result.chain_hops, result.stored_at);
+  {
+    METEO_ZONE("publish.chain");
+    result.success =
+        chain_store(StoredEntry{id, order_key, vector}, plan.route.destination,
+                    hop_budget, rec, result.chain_hops, result.stored_at);
+  }
 
   if (!result.success) {
     record_fault_stats(obs::OpKind::kPublish, fault_stats);
@@ -166,6 +174,7 @@ PublishResult Meteorograph::commit_publish(vsm::ItemId id,
   // leaves that copy missing; the shortfall is reported, and soft-state
   // maintenance restores it on the next republish cycle.
   if (config_.replicas > 1) {
+    METEO_ZONE("publish.replicas");
     std::size_t placed = 0;
     std::vector<overlay::NodeId>& homes = op_scratch().homes;
     overlay_.closest_nodes(plan.key, config_.replicas, homes);
@@ -189,6 +198,7 @@ PublishResult Meteorograph::commit_publish(vsm::ItemId id,
   // §3.5.2: publish the directory pointer at the item's *raw* key, where
   // pointers of similar items aggregate.
   if (config_.directory_pointers) {
+    METEO_ZONE("publish.pointer");
     if (rec != nullptr) rec->set_leg_key(plan.raw);
     const overlay::RouteResult leg = overlay_.route(result.home, plan.raw, rec);
     fault_stats += leg.stats;
@@ -258,13 +268,16 @@ WithdrawResult Meteorograph::withdraw_with(vsm::ItemId id,
   // nested locate is part of the write, so its span carries the commit
   // epoch too.
   OpTrace locate_trace;
-  const LocateResult located =
-      locate_op(id, vector, {.from = options.from}, rng, locate_trace);
+  const LocateResult located = [&] {
+    METEO_ZONE("withdraw.locate");
+    return locate_op(id, vector, {.from = options.from}, rng, locate_trace);
+  }();
   locate_trace.span.set_epoch(span_epoch_);
   record_locate(located, locate_trace);
   result.messages += located.route_hops + located.walk_hops;
   if (located.found && !located.via_replica) {
-    node_data_[located.node].items.erase(id);
+    METEO_ZONE("withdraw.item");
+    if (node_data_[located.node].items.erase(id)) --stored_items_;
     result.removed = true;
   } else if (located.found) {
     node_data_[located.node].replicas.erase(id);
@@ -274,18 +287,22 @@ WithdrawResult Meteorograph::withdraw_with(vsm::ItemId id,
   // Replicas at the key's current closest homes (best-effort: the homes
   // at publish time; churn may have moved them, in which case the copies
   // expire with their hosts).
-  std::vector<overlay::NodeId>& homes = op_scratch().homes;
-  overlay_.closest_nodes(key, config_.replicas + 4, homes);
-  for (const overlay::NodeId home : homes) {
-    if (node_data_[home].replicas.erase(id) > 0) {
-      ++result.replicas_removed;
-      ++result.messages;
+  {
+    METEO_ZONE("withdraw.replicas");
+    std::vector<overlay::NodeId>& homes = op_scratch().homes;
+    overlay_.closest_nodes(key, config_.replicas + 4, homes);
+    for (const overlay::NodeId home : homes) {
+      if (node_data_[home].replicas.erase(id) > 0) {
+        ++result.replicas_removed;
+        ++result.messages;
+      }
     }
   }
 
   // Multi-key strategies: erase the copies published under the extra
   // strategy keys (each lives in a node's item store near its bucket).
   if (strategy_->multi_key()) {
+    METEO_ZONE("withdraw.item");
     std::vector<overlay::Key> keys;
     strategy_->publish_keys(vector, keys);
     for (std::size_t i = 1; i < keys.size(); ++i) {
@@ -294,6 +311,7 @@ WithdrawResult Meteorograph::withdraw_with(vsm::ItemId id,
       NeighborWalk walk(overlay_, start, keys[i], rec);
       for (std::size_t step = 0; step < config_.naming.probe_walk; ++step) {
         if (node_data_[walk.current()].items.erase(id)) {
+          --stored_items_;
           ++result.replicas_removed;
           break;
         }
@@ -307,6 +325,7 @@ WithdrawResult Meteorograph::withdraw_with(vsm::ItemId id,
   // Directory pointer at the raw key (walk a small horizon: the pointer
   // sits on or next to the closest node).
   if (config_.directory_pointers && overlay_.alive_count() > 0) {
+    METEO_ZONE("withdraw.pointer");
     const overlay::Key raw = strategy_->directory_key(vector);
     const overlay::NodeId start = overlay_.closest_alive(raw);
     if (rec != nullptr) rec->set_leg_key(raw);

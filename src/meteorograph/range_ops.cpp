@@ -6,6 +6,7 @@
 
 #include "common/assert.hpp"
 #include "meteorograph/meteorograph.hpp"
+#include "obs/profile.hpp"
 
 namespace meteo::core {
 
@@ -45,6 +46,7 @@ RangeSearchResult Meteorograph::range_search_op(
     const RangeSearchOptions& options, Rng& rng, OpTrace& trace) const {
   METEO_EXPECTS(lo <= hi);
 
+  METEO_ZONE("op.range");
   RangeSearchResult result;
   overlay::HopStats& fault_stats = trace.route;
   const AttributeSpace& space = attributes_.space(attribute);
@@ -56,7 +58,10 @@ RangeSearchResult Meteorograph::range_search_op(
     trace.span.open(obs::OpKind::kRangeSearch, source, key_lo);
   }
   obs::SpanRecorder* const rec = trace.span.active() ? &trace.span : nullptr;
-  const overlay::RouteResult route = overlay_.route(source, key_lo, rec);
+  const overlay::RouteResult route = [&] {
+    METEO_ZONE("range.route");
+    return overlay_.route(source, key_lo, rec);
+  }();
   result.route_hops = route.hops;
   fault_stats += route.stats;
   if (route.blocked) result.partial = true;
@@ -65,6 +70,7 @@ RangeSearchResult Meteorograph::range_search_op(
   // just below key_lo or just above key_hi — start one node early and
   // stop one node late. Every step is a message; one lost past retries
   // truncates the scan (reported as partial).
+  METEO_ZONE("range.walk");
   overlay::NodeId cur = route.destination;
   if (const overlay::NodeId pred = overlay_.predecessor(cur);
       pred != overlay::kInvalidNode) {

@@ -3,16 +3,19 @@
 #include <algorithm>
 
 #include "common/assert.hpp"
+#include "obs/profile.hpp"
 #include "vsm/lsi.hpp"
 
 namespace meteo::core {
 
-void AngleStore::insert(StoredEntry entry) {
-  erase(entry.id);
+bool AngleStore::insert(StoredEntry entry) {
+  const bool replaced = erase(entry.id);
   const vsm::ItemId id = entry.id;
   const auto it = by_key_.emplace(entry.raw_key, id);
   meta_.emplace(id, Meta{it, next_order_++});
+  METEO_ZONE("store.index_insert");
   index_.insert(id, std::move(entry.vector));
+  return !replaced;
 }
 
 const vsm::SparseVector* AngleStore::vector_of(vsm::ItemId id) const {
@@ -27,7 +30,10 @@ void AngleStore::detach(vsm::ItemId id) {
 }
 
 bool AngleStore::erase(vsm::ItemId id) {
-  if (!index_.erase(id)) return false;
+  {
+    METEO_ZONE("store.index_erase");
+    if (!index_.erase(id)) return false;
+  }
   detach(id);
   return true;
 }
@@ -66,7 +72,10 @@ Eviction AngleStore::evict(const StoredEntry& incoming,
   Eviction out;
   out.entry.id = victim;
   out.entry.raw_key = meta_.at(victim).pos->first;
-  out.entry.vector = std::move(index_.take(victim)->vector);
+  {
+    METEO_ZONE("store.index_erase");
+    out.entry.vector = std::move(index_.take(victim)->vector);
+  }
   out.side = out.entry.raw_key <= incoming.raw_key ? EvictSide::kLow
                                                    : EvictSide::kHigh;
   detach(victim);

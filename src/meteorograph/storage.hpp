@@ -51,7 +51,8 @@ struct Eviction {
 class AngleStore {
  public:
   /// Inserts an entry (replaces an existing item with the same id).
-  void insert(StoredEntry entry);
+  /// Returns true when the store grew: false for a replace.
+  bool insert(StoredEntry entry);
 
   [[nodiscard]] std::size_t size() const noexcept { return index_.size(); }
   [[nodiscard]] bool empty() const noexcept { return index_.empty(); }

@@ -12,6 +12,7 @@
 
 #include "common/rng.hpp"
 #include "obs/export.hpp"
+#include "obs/names.hpp"
 #include "sim/fault_plan.hpp"
 #include "workload/trace.hpp"
 
@@ -70,9 +71,10 @@ std::string metric_fingerprint(const obs::MetricRegistry& metrics) {
 }
 
 /// Fingerprint minus the `system.stored_items` gauge, which by design is
-/// snapshotted only at batch barriers (it is O(nodes) to compute) — a
-/// facade run never takes a barrier, so facade-vs-engine comparisons must
-/// exempt that single series (DESIGN.md §8).
+/// set only at batch barriers (so its value never depends on which of a
+/// window's ops committed first) — a facade run never takes a barrier, so
+/// facade-vs-engine comparisons must exempt that single series
+/// (DESIGN.md §8).
 std::string barrier_free_fingerprint(const obs::MetricRegistry& metrics) {
   std::istringstream in(metric_fingerprint(metrics));
   std::string out;
@@ -624,6 +626,99 @@ TEST(BatchEngine, MixedSealedWindowMatchesFacadeReadsFirst) {
   }
   EXPECT_EQ(engine_sys.node_loads(), facade_sys.node_loads());
   EXPECT_EQ(engine_sys.stored_item_count(), facade_sys.stored_item_count());
+}
+
+// --- the stored-items running count ---------------------------------------
+
+/// Items held across every node's item store, dead and departed nodes
+/// included: what stored_item_count() keeps as a running count.
+std::size_t sum_of_stores(const Meteorograph& sys) {
+  std::size_t total = 0;
+  for (std::size_t id = 0; id < sys.network().size(); ++id) {
+    total += sys.store_of(static_cast<overlay::NodeId>(id)).size();
+  }
+  return total;
+}
+
+/// Drives the count through every kind of item-store change — overflow
+/// chains, chains that give an item up at the hop limit, re-publishes of
+/// live ids, withdraws, departs, and crashes under 5% drop — in sealed
+/// windows, and checks it against the stores after every seal and against
+/// the gauge the next window sets.
+void check_stored_count(NamingStrategyKind naming) {
+  const TestWorkload wl = make_workload(300, 41);
+  SystemConfig cfg = small_config(40);
+  cfg.naming.strategy = naming;
+  cfg.node_capacity = 8;
+  cfg.publish_hop_limit = 3;
+  Meteorograph sys(cfg, wl.sample, 41);
+  sim::FaultPlan plan({.drop_rate = 0.05}, 41);
+  plan.crash_at(300, 3);
+  plan.crash_at(1200, 17);
+  plan.crash_at(2400, 29);
+  ASSERT_TRUE(sys.set_fault_hook(&plan));
+  EpochEngine engine(sys, {.workers = 4, .seed = 41});
+  Rng rng(41);
+
+  std::vector<vsm::ItemId> live;
+  vsm::ItemId fresh = 0;
+  std::size_t chains_cut = 0;
+  std::size_t departs = 0;
+  std::size_t count_before = sys.stored_item_count();
+  for (std::size_t window = 0; window < 10; ++window) {
+    for (std::size_t i = 0; i < 30 && fresh < wl.vectors.size(); ++i) {
+      (void)engine.submit(PublishOp{fresh, &wl.vectors[fresh], {}});
+      live.push_back(fresh++);
+    }
+    for (std::size_t i = 0; i < 4; ++i) {
+      const vsm::ItemId id = live[rng.below(live.size())];
+      (void)engine.submit(PublishOp{id, &wl.vectors[id], {}});
+    }
+    for (std::size_t i = 0; i < 8; ++i) {
+      const std::size_t pick = rng.below(live.size());
+      const vsm::ItemId id = live[pick];
+      live[pick] = live.back();
+      live.pop_back();
+      (void)engine.submit(WithdrawOp{id, &wl.vectors[id], {}});
+    }
+    (void)engine.submit(DepartOp{sys.network().random_alive(rng)});
+    for (std::size_t i = 0; i < 3; ++i) {
+      const vsm::ItemId id = live[rng.below(live.size())];
+      (void)engine.submit(LocateOp{id, &wl.vectors[id], {}});
+    }
+
+    const EpochEngine::SealedEpoch sealed = engine.seal();
+    for (const EpochEngine::OpResult& r : sealed.results) {
+      if (const auto* pub = std::get_if<PublishResult>(&r)) {
+        chains_cut += pub->success ? 0 : 1;
+      } else if (const auto* dep = std::get_if<DepartResult>(&r)) {
+        departs += dep->departed ? 1 : 0;
+      }
+    }
+    ASSERT_EQ(sys.stored_item_count(), sum_of_stores(sys))
+        << "window " << window;
+    // The window's barrier set the gauge before any of its writes.
+    EXPECT_EQ(sys.metrics().gauge_value(obs::names::kStoredItems),
+              static_cast<double>(count_before))
+        << "window " << window;
+    count_before = sys.stored_item_count();
+  }
+
+  // Every path the count must follow actually ran.
+  EXPECT_GT(chains_cut, 0u);
+  EXPECT_GT(departs, 0u);
+  EXPECT_GT(plan.dropped(), 0u);
+  EXPECT_GT(sys.metrics().counter_value(obs::names::kFaultCrashesApplied), 0u);
+  EXPECT_GT(sys.stored_item_count(), 0u);
+}
+
+TEST(BatchEngine, StoredItemCountTracksStoresUnderFaultsAndChurn) {
+  check_stored_count(NamingStrategyKind::kAngle);
+}
+
+// LSH stores one copy per extra bucket key; those copies are store items.
+TEST(BatchEngine, StoredItemCountTracksLshCopies) {
+  check_stored_count(NamingStrategyKind::kLsh);
 }
 
 // --- typed calls: repeatable, epoch-neutral, one window --------------------

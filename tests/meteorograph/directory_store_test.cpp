@@ -2,7 +2,7 @@
 ///
 /// Seeded random add / remove / take_all sequences are checked after
 /// every step against a naive vector that erases in place — the store's
-/// semantics before removal learned to unlink and leave holes. Items
+/// semantics before removal learned to leave holes. Items
 /// repeat on purpose (a re-publish or a depart handoff can leave two
 /// pointers for one item on one node), so `remove()` must drop the
 /// earliest copy, and drain phases push the holes past the compaction
@@ -165,7 +165,7 @@ TEST(DirectoryStore, MatchesReferenceModelWithRetentionOff) {
 
 std::vector<std::size_t> positions(const DirectoryStore& store,
                                    vsm::KeywordId kw) {
-  const std::span<const std::size_t> bucket = store.candidates(kw);
+  const DirectoryStore::Candidates bucket = store.candidates(kw);
   return {bucket.begin(), bucket.end()};
 }
 

@@ -3,10 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <numeric>
 #include <set>
 #include <span>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "obs/names.hpp"
 #include "sim/churn.hpp"
@@ -253,6 +256,91 @@ TEST(Meteorograph, SimilaritySearchMultiKeyword) {
   const SearchResult r = sys.similarity_search(q, 0);
   const std::set<vsm::ItemId> found(r.items.begin(), r.items.end());
   EXPECT_EQ(found, expected);
+}
+
+// Withdraws leave holes in a directory node's keyword buckets until the
+// node compacts. With the pointers crowded onto a few nodes, withdraw a
+// third of the items, then past half, so the crowded nodes compact. After
+// each round a discover-all search must return exactly the live items
+// carrying its keywords, and must answer exactly as a twin that only ever
+// published those items: a hole chased as a pointer would cost lookup
+// messages the twin never pays.
+TEST(Meteorograph, DiscoverAllSearchStaysExactAcrossWithdraws) {
+  constexpr std::size_t kItems = 300;
+  const TestWorkload wl = make_workload(kItems, 14);
+  const SystemConfig cfg = small_config(LoadBalanceMode::kUnusedHashSpace, 40);
+  Meteorograph sys(cfg, wl.sample, 14);
+  // A pinned source keeps every op off the facade RNG, so the twin's
+  // searches start where this system's do.
+  const overlay::NodeId source = 0;
+  for (vsm::ItemId id = 0; id < kItems; ++id) {
+    ASSERT_TRUE(sys.publish(id, wl.vectors[id], {.from = source}).success);
+  }
+  // Fault-free, a pointer sits on the node closest to its raw key.
+  std::map<overlay::NodeId, std::size_t> pointers;
+  for (const vsm::SparseVector& v : wl.vectors) {
+    ++pointers[sys.network().closest_alive(sys.raw_key(v))];
+  }
+  std::size_t busiest = 0;
+  for (const auto& [node, count] : pointers) busiest = std::max(busiest, count);
+  ASSERT_GE(4 * busiest, kItems) << "pointers spread over " << pointers.size()
+                                 << " nodes";
+
+  std::vector<std::vector<vsm::KeywordId>> queries;
+  for (const vsm::ItemId id : {0u, 7u, 42u, 101u, 250u}) {
+    queries.push_back({wl.vectors[id].entries()[0].keyword});
+  }
+  for (const vsm::SparseVector& v : wl.vectors) {
+    if (v.nnz() >= 2) {
+      queries.push_back({v.entries()[0].keyword, v.entries()[1].keyword});
+      break;
+    }
+  }
+
+  std::vector<vsm::ItemId> order(kItems);
+  std::iota(order.begin(), order.end(), vsm::ItemId{0});
+  Rng rng(14);
+  for (std::size_t i = kItems - 1; i > 0; --i) {
+    std::swap(order[i], order[rng.below(i + 1)]);
+  }
+  std::vector<bool> live(kItems, true);
+  std::size_t withdrawn = 0;
+  for (const std::size_t target : {kItems / 3, kItems * 3 / 5}) {
+    for (; withdrawn < target; ++withdrawn) {
+      const vsm::ItemId id = order[withdrawn];
+      const WithdrawResult w =
+          sys.withdraw(id, wl.vectors[id], {.from = source});
+      ASSERT_TRUE(w.removed && w.pointer_removed) << "item " << id;
+      live[id] = false;
+    }
+    Meteorograph twin(cfg, wl.sample, 14);
+    for (vsm::ItemId id = 0; id < kItems; ++id) {
+      if (live[id]) {
+        ASSERT_TRUE(twin.publish(id, wl.vectors[id], {.from = source}).success);
+      }
+    }
+    for (const std::vector<vsm::KeywordId>& q : queries) {
+      SCOPED_TRACE(testing::Message() << withdrawn << " withdrawn, query of "
+                                      << q.size() << " starting " << q[0]);
+      std::vector<vsm::ItemId> expected;
+      for (vsm::ItemId id = 0; id < kItems; ++id) {
+        const bool carries = std::all_of(q.begin(), q.end(), [&](auto kw) {
+          return wl.vectors[id].contains(kw);
+        });
+        if (live[id] && carries) expected.push_back(id);
+      }
+      ASSERT_FALSE(expected.empty());
+      const SearchResult got = sys.similarity_search(q, 0, {.from = source});
+      const SearchResult want = twin.similarity_search(q, 0, {.from = source});
+      std::vector<vsm::ItemId> found = got.items;
+      std::sort(found.begin(), found.end());
+      EXPECT_EQ(found, expected);
+      EXPECT_EQ(got.items, want.items);
+      EXPECT_EQ(got.discovery_hops, want.discovery_hops);
+      EXPECT_EQ(got.lookup_messages, want.lookup_messages);
+      EXPECT_EQ(got.nodes_visited, want.nodes_visited);
+    }
+  }
 }
 
 TEST(Meteorograph, ReplicationSurvivesPrimaryFailure) {
